@@ -30,10 +30,8 @@ from .models import (
     BiasTransform,
     ModelConfig,
     PkResult,
-    averaging_outcome,
     exact_pk,
     monte_carlo_pk,
-    random_choice_win_prob,
 )
 from .tournament import (
     MonteCarlo,
@@ -109,8 +107,7 @@ __all__ = [
     "instance_to_json", "load_instance", "normalized_bias", "save_instance",
     "social_cost", "social_optimum", "validate",
     "LINEAR", "SQRT", "BiasTransform", "ModelConfig", "PkResult",
-    "averaging_outcome", "exact_pk", "monte_carlo_pk",
-    "random_choice_win_prob",
+    "exact_pk", "monte_carlo_pk",
     "MonteCarlo", "PMatrix", "Tournament", "build_pmatrix",
     "build_tournament", "copeland_scores", "copeland_winner",
     "exact_pmatrix_reference", "pipeline_distortion", "uncovered_check",

@@ -465,15 +465,16 @@ def solve_theta3(
 ) -> ThetaResult:
     """Certified upper bound on theta_3 as the max over the eight cases.
 
-    Every case except 3 resolves to at most 0.25 plus the tolerance; case 3
-    is genuinely hard, so its solve stops as soon as the rigorous bound
-    drops to case3_bound_target (BudgetExhausted there still carries a
-    valid bound). The other cases stop at bound_target the same way, which
-    only matters for case 5 (the remaining six certify in seconds). The
-    reported incumbent is the k = 3 lower-bound witness with mean 0.25,
-    independently audited by exact enumeration. threads caps concurrent
-    case solves without affecting any reported number; case 5, which runs
-    until it certifies, is started first.
+    Case 3 is the hardest: its solve stops as soon as the rigorous bound
+    drops to case3_bound_target. Every other case stops the same way at
+    bound_target. At the defaults only case 5 certifies to within tol; the
+    other seven end BudgetExhausted at their target, each still with a
+    valid bound, so the value is the case-3 bound (about 0.2529), not 0.25
+    plus the tolerance. The solves take minutes: case 5 alone runs for
+    about five. The reported incumbent is the k = 3 lower-bound witness
+    with mean 0.25, independently audited by exact enumeration. threads
+    caps concurrent case solves without affecting any reported number;
+    case 5, which runs until it certifies, is started first.
     """
     run = partial(
         _solve_theta3_case, tol=tol, budget=budget,

@@ -586,10 +586,8 @@ def solve_global(
     infeasible_samples: list = []
     heap: list = []
     counter = 0
-    any_infeasible_prune = False
 
     if infeas0[0]:
-        any_infeasible_prune = True
         if collect_infeasible:
             infeasible_samples.append((lo0.tolist(), hi0.tolist()))
     else:
@@ -606,7 +604,7 @@ def solve_global(
         gap = global_ub - inc_val
         if not heap:
             if inc_x is None and residual == -math.inf:
-                status = INFEASIBLE if any_infeasible_prune else INFEASIBLE
+                status = INFEASIBLE
                 break
             status = CERTIFIED if gap <= tol else BUDGET_EXHAUSTED
             break
@@ -658,11 +656,9 @@ def solve_global(
         HI = np.stack(child_hi)
         boxes += LO.shape[0]
         ubs, infeas, sdims = child_bounds(LO, HI)
-        if infeas.any():
-            any_infeasible_prune = True
-            if collect_infeasible and len(infeasible_samples) < collect_infeasible:
-                for i in np.flatnonzero(infeas)[: collect_infeasible - len(infeasible_samples)]:
-                    infeasible_samples.append((LO[i].tolist(), HI[i].tolist()))
+        if collect_infeasible and len(infeasible_samples) < collect_infeasible:
+            for i in np.flatnonzero(infeas)[: collect_infeasible - len(infeasible_samples)]:
+                infeasible_samples.append((LO[i].tolist(), HI[i].tolist()))
 
         keep = ~infeas
         kidx = np.flatnonzero(keep)

@@ -7,14 +7,19 @@ the first alternative with probability A/(A+B), where A (resp. B) sums a
 concave transform g of |bias| over members favoring the first (resp. second)
 alternative; an opinion-change weight beta mixes this with random dictatorship.
 
-exact_pk enumerates location multisets with multinomial weights; Averaging
-group decisions are made on summed distance differences d(i,c1)-d(i,c2)
-(the positive divisor d(c1,c2) cannot change the sign), so instances with
-exactly representable distances are decided exactly.
+group_win_probs is the one decision kernel for both rules: exact_pk,
+monte_carlo_pk and the sampler all feed it matrices of sampled members.
+Averaging decisions are made on summed distance differences d(i,c1)-d(i,c2)
+(the positive divisor d(c1,c2) cannot change the sign), and each group is
+decided on the exact sum of its members' stored differences, whatever the
+distances. Only the differences themselves are rounded, once each, when
+they are formed from the stored distances. exact_pk enumerates location
+multisets with multinomial weights.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +31,10 @@ from .metric import MetricInstance, ZeroCandidateDistance, signed_diffs
 
 ENUMERATION_BUDGET = 2_000_000
 _MC_BLOCK = 1 << 16
+_EXACT_BLOCK = 1 << 12
+# A float sum of k terms errs by less than (k-1)·(eps/2)·sum|term|, and
+# sum|term| <= k·max|term|; 2·eps·k·k·max|term| bounds that with a margin.
+_SUM_SLACK = 2 * np.finfo(float).eps
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -128,32 +137,6 @@ class ModelConfig:
         )
 
 
-def averaging_outcome(biases, tie_to_first: bool = True) -> int:
-    """Winner index (1 or 2) under the Averaging rule for one group."""
-    s = math.fsum(biases)
-    if s < 0:
-        return 1
-    if s > 0:
-        return 2
-    return 1 if tie_to_first else 2
-
-
-def random_choice_win_prob(
-    biases, g: BiasTransform = LINEAR, beta: float = 1.0,
-    all_zero_to_first: bool = True,
-) -> float:
-    """Probability the random-choice rule outputs the first alternative."""
-    biases = list(biases)
-    a = math.fsum(float(g.apply(-b)) for b in biases if b < 0)
-    b_ = math.fsum(float(g.apply(b)) for b in biases if b > 0)
-    if a + b_ > 0:
-        core = a / (a + b_)
-    else:
-        core = 1.0 if all_zero_to_first else 0.5
-    n_neg = sum(1 for b in biases if b < 0)
-    return beta * core + (1.0 - beta) * (n_neg / len(biases))
-
-
 @dataclass(frozen=True)
 class PkResult:
     value: float
@@ -176,33 +159,43 @@ def _atoms(inst: MetricInstance, c1: str, c2: str):
     return np.array(diffs), np.array(probs), d12
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _member_sums(values, members) -> np.ndarray:
+    """Each row's sum of values over its members, added left to right."""
+    total = values[members[:, 0]]
+    for col in range(1, members.shape[1]):
+        total += values[members[:, col]]
+    return total
 
 
-def _group_win_prob(counts, diffs, gvals, model: ModelConfig) -> float:
-    """Chance the group described by atom counts outputs the first alternative."""
+def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
+    """Chance that each sampled group outputs the first alternative.
+
+    members is a (groups x k) integer matrix of atom indices; diffs holds
+    each atom's signed difference d(i,c1) - d(i,c2) and gvals its transformed
+    normalized bias g(|d(i,c1) - d(i,c2)| / d(c1,c2)), which only random
+    choice reads.
+
+    Averaging decides a group on the sign of the exact sum of its members'
+    diffs. The float row sum decides every row whose magnitude exceeds its
+    rounding bound; math.fsum, which rounds correctly and so keeps the exact
+    sign, decides the rest. A zero sum goes to the first alternative iff
+    model.tie_to_first.
+    """
     k = model.k
     if model.variant == "averaging":
-        s = math.fsum(c * d for c, d in zip(counts, diffs) if c)
-        if s < 0:
-            return 1.0
-        if s > 0:
-            return 0.0
-        return 1.0 if model.tie_to_first else 0.0
-    a = math.fsum(c * g for c, d, g in zip(counts, diffs, gvals) if c and d < 0)
-    b = math.fsum(c * g for c, d, g in zip(counts, diffs, gvals) if c and d > 0)
-    if a + b > 0:
-        core = a / (a + b)
-    else:
-        core = 1.0 if model.all_zero_to_first else 0.5
-    n_neg = sum(c for c, d in zip(counts, diffs) if d < 0)
+        s = _member_sums(diffs, members)
+        near = np.abs(s) <= _SUM_SLACK * k * k * np.abs(diffs).max()
+        if near.any():
+            s[near] = [math.fsum(row) for row in diffs[members[near]].tolist()]
+        tie = 1.0 if model.tie_to_first else 0.0
+        return np.where(s < 0, 1.0, np.where(s > 0, 0.0, tie))
+    neg = diffs < 0
+    a = _member_sums(np.where(neg, gvals, 0.0), members)
+    b = _member_sums(np.where(diffs > 0, gvals, 0.0), members)
+    tot = a + b
+    azf = 1.0 if model.all_zero_to_first else 0.5
+    core = np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), azf)
+    n_neg = _member_sums(neg.astype(float), members)
     return model.beta * core + (1.0 - model.beta) * (n_neg / k)
 
 
@@ -212,8 +205,9 @@ def exact_pk(
 ) -> PkResult:
     """Exact probability that a deliberating group outputs c1 over c2.
 
-    Enumerates multisets of bias atoms with multinomial weights. Raises
-    EnumerationBudgetExceeded when C(n+k-1, k) exceeds the budget.
+    Enumerates multisets of bias atoms, as sorted index rows in blocks, with
+    multinomial weights. Raises EnumerationBudgetExceeded when C(n+k-1, k)
+    exceeds the budget.
     """
     diffs, probs, d12 = _atoms(inst, c1, c2)
     n, k = len(diffs), model.k
@@ -222,20 +216,30 @@ def exact_pk(
             f"{math.comb(n + k - 1, k)} multisets exceed budget {budget}"
         )
     gvals = model.g.apply(np.abs(diffs / d12))
-    terms = []
-    for counts in _compositions(k, n):
-        w = 1.0
-        rem = k
-        for c, p in zip(counts, probs):
-            if c:
-                w *= math.comb(rem, c) * p**c
+    # weight factor comb(rem, c) * p**c for rem members left, c of them here
+    comb = np.array([[math.comb(r, c) for c in range(k + 1)]
+                     for r in range(k + 1)], dtype=float)
+    powers = np.array([[p**c for c in range(k + 1)] for p in probs])
+    multisets = itertools.combinations_with_replacement(range(n), k)
+    row = np.dtype((np.intp, k))
+
+    def terms():
+        while True:
+            members = np.fromiter(itertools.islice(multisets, _EXACT_BLOCK), row)
+            rows = len(members)
+            if not rows:
+                return
+            cells = (members + n * np.arange(rows)[:, None]).ravel()
+            counts = np.bincount(cells, minlength=rows * n).reshape(rows, n)
+            w = np.ones(rows)
+            rem = np.full(rows, k)
+            for atom in range(n):
+                c = counts[:, atom]
+                w *= comb[rem, c] * powers[atom, c]
                 rem -= c
-        if w == 0.0:
-            continue
-        win = _group_win_prob(counts, diffs, gvals, model)
-        if win:
-            terms.append(w * win)
-    p = math.fsum(terms)
+            yield (w * group_win_probs(model, members, diffs, gvals)).tolist()
+
+    p = math.fsum(itertools.chain.from_iterable(terms()))
     return PkResult(value=min(1.0, max(0.0, p)), stderr=0.0, method="Exact")
 
 
@@ -263,9 +267,6 @@ def monte_carlo_pk(
     cum[-1] = max(cum[-1], 1.0)  # guard against rounding at the top
     averaging = model.variant == "averaging"
     gvals = model.g.apply(np.abs(diffs / d12))
-    g_neg = np.where(diffs < 0, gvals, 0.0)
-    g_pos = np.where(diffs > 0, gvals, 0.0)
-    neg = (diffs < 0).astype(float)
 
     width = k if averaging else k + 1
     successes = 0
@@ -276,19 +277,9 @@ def monte_carlo_pk(
         rng = _block_rng(seed, block)
         u = rng.random((rows, width))
         idx = np.searchsorted(cum, u[:, :k], side="right")
-        if averaging:
-            s = diffs[idx].sum(axis=1)
-            wins = (s < 0) | ((s == 0) & model.tie_to_first)
-        else:
-            a = g_neg[idx].sum(axis=1)
-            b = g_pos[idx].sum(axis=1)
-            tot = a + b
-            azf = 1.0 if model.all_zero_to_first else 0.5
-            core = np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), azf)
-            n_neg = neg[idx].sum(axis=1)
-            pwin = model.beta * core + (1.0 - model.beta) * (n_neg / k)
-            wins = u[:, k] < pwin
-        successes += int(wins.sum())
+        pwin = group_win_probs(model, idx, diffs, gvals)
+        wins = pwin if averaging else u[:, k] < pwin
+        successes += int(np.count_nonzero(wins))
         done += rows
         block += 1
     phat = successes / trials

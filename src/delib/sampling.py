@@ -4,9 +4,9 @@ Ground truth uses exact pairwise win probabilities; at desk scale the
 interesting question is how the pipeline behaves when those probabilities
 are estimated from finitely many sampled groups. Two sampling modes:
 
-  * RankingGroups (averaging rule): every sampled group ranks all
-    alternatives by total member distance, which decides every pair at
-    once, so p-hat for each pair is a frequency over all groups.
+  * RankingGroups (averaging rule): every sampled group decides every
+    pair at once, on its members' summed distance differences, so p-hat
+    for each pair is a frequency over all groups.
   * MatchingGroups (random-choice rule): the candidate pairs are split
     into a round-robin schedule of matchings; each matching gets its own
     budget of groups, and a group contributes one Bernoulli outcome per
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import MetricInstance, distortion_of
-from .models import ModelConfig, _block_rng, random_choice_win_prob
+from .models import ModelConfig, _block_rng, group_win_probs
 from .tournament import (
     PMatrix,
     build_tournament,
@@ -118,44 +118,35 @@ def _simulate(config: SampleRunConfig, rng) -> PMatrix:
     D = _distance_table(inst)
     masses = inst.masses
     P = np.full((m, m), np.nan)
-    counts = np.zeros((m, m), dtype=int)
+
+    def win_probs(draws, i, j):
+        """Each sampled group's chance to output candidate i over j."""
+        diffs = D[:, i] - D[:, j]
+        gvals = None
+        if model.variant == "random-choice":
+            d12 = inst.distance(inst.candidates[i], inst.candidates[j])
+            gvals = model.g.apply(np.abs(diffs / d12))
+        return group_win_probs(model, draws, diffs, gvals)
 
     if config.mode == RANKING_GROUPS:
         draws = rng.choice(len(masses), size=(config.groups, model.k), p=masses)
-        totals = D[draws].sum(axis=1)            # (groups, m)
         for i in range(m):
             for j in range(i + 1, m):
-                ti, tj = totals[:, i], totals[:, j]
-                # equal sums rank by declaration order, and i < j here
-                wins = (ti < tj) | (ti == tj)
-                P[i, j] = wins.mean()
-                P[j, i] = 1.0 - P[i, j]
-                counts[i, j] = counts[j, i] = config.groups
+                P[i, j] = win_probs(draws, i, j).mean()
     else:
-        d12 = np.array([
-            [inst.distance(inst.candidates[i], inst.candidates[j]) if i != j else 1.0
-             for j in range(m)]
-            for i in range(m)
-        ])
         for matching in round_robin_matchings(m):
             draws = rng.choice(
                 len(masses), size=(config.groups, model.k), p=masses
             )
             coins = rng.random((config.groups, len(matching)))
             for e, (i, j) in enumerate(matching):
-                wins = 0
-                for t in range(config.groups):
-                    biases = (D[draws[t], i] - D[draws[t], j]) / d12[i, j]
-                    w = random_choice_win_prob(
-                        biases, model.g, model.beta, model.all_zero_to_first
-                    )
-                    wins += coins[t, e] < w
-                P[i, j] = wins / config.groups
-                P[j, i] = 1.0 - P[i, j]
-                counts[i, j] = counts[j, i] = config.groups
+                wins = coins[:, e] < win_probs(draws, i, j)
+                P[i, j] = np.count_nonzero(wins) / config.groups
+    upper = np.triu_indices(m, 1)
+    P.T[upper] = 1.0 - P[upper]
 
     missing = [(i, j) for i in range(m) for j in range(m)
-               if i != j and counts[i, j] == 0]
+               if i != j and np.isnan(P[i, j])]
     if missing:
         a, b = missing[0]
         raise NoSamplesForPair(
@@ -221,8 +212,7 @@ def empirical_distortion_trials(config: SampleRunConfig) -> SampleRunReport:
     Each trial estimates the pairwise matrix from fresh groups, runs
     Copeland on the estimate, and scores the elected candidate's
     distortion; the per-pair error is measured against exact enumeration
-    on the lower-triangle orientation (the one whose tie convention the
-    ranking rule reproduces).
+    on the orientation (i, j), i < j, that the sampler estimates directly.
     """
     exact = exact_pmatrix_reference(config.instance, config.model)
     m = exact.m

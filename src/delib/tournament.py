@@ -112,12 +112,10 @@ def build_pmatrix(
 class Tournament:
     candidates: tuple[str, ...]
     beats: np.ndarray           # beats[i][j]: p[i][j] >= 1/2 - tol
-    half_points: np.ndarray     # both orientations within tol of 1/2
     tol: float
 
     def __post_init__(self):
         self.beats.flags.writeable = False
-        self.half_points.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -139,20 +137,8 @@ def default_tol(pm: PMatrix) -> float:
 def build_tournament(pm: PMatrix, tol: float | None = None) -> Tournament:
     if tol is None:
         tol = default_tol(pm)
-    m = pm.m
-    beats = np.zeros((m, m), dtype=bool)
-    half = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                beats[i, j] = pm.p[i, j] >= 0.5 - tol
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                half[i, j] = (
-                    abs(pm.p[i, j] - 0.5) <= tol and abs(pm.p[j, i] - 0.5) <= tol
-                )
-    return Tournament(pm.candidates, beats, half, tol)
+    beats = (pm.p >= 0.5 - tol) & ~np.eye(pm.m, dtype=bool)
+    return Tournament(pm.candidates, beats, tol)
 
 
 def copeland_scores(t: Tournament) -> np.ndarray:

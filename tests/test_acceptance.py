@@ -168,9 +168,7 @@ def test_pipeline_tightness_on_worst_case_instance():
         beats = t.beats.copy()
         for (i, j), j_wins in zip(open_pairs, sides):
             beats[(i, j) if j_wins else (j, i)] = False
-        resolved = Tournament(
-            t.candidates, beats, np.zeros_like(beats), t.tol
-        )
+        resolved = Tournament(t.candidates, beats, t.tol)
         scores = copeland_scores(resolved)
         elected += [
             (distortion_of(inst, c), c)
@@ -206,18 +204,16 @@ def test_star_instance_distortion_floor_and_trend():
 
 def _random_tournament(rng, m):
     beats = np.zeros((m, m), dtype=bool)
-    ties = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             r = rng.random()
             if r < 0.1:
                 beats[i, j] = beats[j, i] = True
-                ties[i, j] = ties[j, i] = True
             elif r < 0.55:
                 beats[i, j] = True
             else:
                 beats[j, i] = True
-    return Tournament(tuple(f"c{i}" for i in range(m)), beats, ties, tol=0.0)
+    return Tournament(tuple(f"c{i}" for i in range(m)), beats, tol=0.0)
 
 
 def test_randomized_property_suites():

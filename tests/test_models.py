@@ -1,18 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from delib.metric import BiasDistribution, bias_distribution
+from delib.metric import BiasDistribution, MetricInstance, bias_distribution
 from delib.models import (
     LINEAR,
     SQRT,
     BiasTransform,
     ModelConfig,
-    averaging_outcome,
     exact_pk,
+    group_win_probs,
     monte_carlo_pk,
-    random_choice_win_prob,
 )
 from delib.instances import line_instance_from_bias_distribution
 
@@ -48,21 +49,65 @@ def test_transform_rejects_bad_exponent():
         BiasTransform.parse("cube")
 
 
-# -- averaging outcome -------------------------------------------------------
+# -- group decision kernel ---------------------------------------------------
+
+
+def _one_group(variant, biases, g=LINEAR, **options):
+    """The kernel on a single group whose members are the given atoms."""
+    model = ModelConfig(variant, len(biases), g=g, **options)
+    diffs = np.array(biases, dtype=float)
+    members = np.arange(len(biases))[None, :]
+    return float(group_win_probs(model, members, diffs,
+                                 g.apply(np.abs(diffs)))[0])
+
+
+def _averaging_winner(biases, tie_to_first=True):
+    """Winner index (1 or 2) of one averaging group."""
+    win = _one_group("averaging", biases, tie_to_first=tie_to_first)
+    return 1 if win == 1.0 else 2
+
+
+def _random_choice_win(biases, g, beta, all_zero_to_first):
+    return _one_group("random-choice", biases, g=g, beta=beta,
+                      all_zero_to_first=all_zero_to_first)
 
 
 def test_averaging_outcome_sign():
-    assert averaging_outcome([-0.5, 0.2]) == 1
-    assert averaging_outcome([0.5, 0.2]) == 2
-    assert averaging_outcome([0.5, -0.5]) == 1     # tie goes to first
-    assert averaging_outcome([0.5, -0.5], tie_to_first=False) == 2
+    assert _averaging_winner([-0.5, 0.2]) == 1
+    assert _averaging_winner([0.5, 0.2]) == 2
+    assert _averaging_winner([0.5, -0.5]) == 1     # tie goes to first
+    assert _averaging_winner([0.5, -0.5], tie_to_first=False) == 2
 
 
 def test_averaging_outcome_exact_cancellation():
-    # fsum resolves a pairwise-cancelling sum to exactly zero, and the
+    # the exact sum of a pairwise-cancelling group is zero, and the
     # zero-sum tie goes to the first alternative
-    assert averaging_outcome([0.1, 0.2, -0.2, -0.1]) == 1
-    assert averaging_outcome([0.1, 0.2, -0.2, -0.1], tie_to_first=False) == 2
+    assert _averaging_winner([0.1, 0.2, -0.2, -0.1]) == 1
+    assert _averaging_winner([0.1, 0.2, -0.2, -0.1], tie_to_first=False) == 2
+
+
+_diff_values = st.floats(min_value=-1e6, max_value=1e6,
+                         allow_nan=False, allow_infinity=False)
+
+
+@given(
+    base=st.lists(_diff_values, min_size=1, max_size=4),
+    data=st.data(),
+    tie_to_first=st.booleans(),
+)
+def test_averaging_decision_is_sign_of_exact_sum(base, data, tie_to_first):
+    # rounded multiples of the base values make sums that nearly cancel
+    diffs = np.array(base + [-(c * x) for x in base for c in (2, 3)])
+    k = data.draw(st.integers(1, 9))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, len(diffs) - 1), min_size=k, max_size=k),
+        min_size=1, max_size=8))
+    model = ModelConfig("averaging", k, tie_to_first=tie_to_first)
+    got = group_win_probs(model, np.array(rows), diffs, np.abs(diffs))
+    for row, win in zip(rows, got):
+        exact = sum(Fraction(float(diffs[i])) for i in row)
+        want = 1.0 if exact < 0 or (exact == 0 and tie_to_first) else 0.0
+        assert win == want
 
 
 # -- random choice win probability --------------------------------------------
@@ -74,27 +119,55 @@ def test_random_choice_win_prob_two_members():
     expected = 0.5 * (1.0) + 0.5 * 0.0
     # members -w and +w, linear, beta=1: each speaker sees one opposing lean
     # a = g(w) (mass toward first), b = g(w): symmetric -> 1/2 each side
-    got = random_choice_win_prob([-w, w], LINEAR, 1.0, True)
+    got = _random_choice_win([-w, w], LINEAR, 1.0, True)
     assert got == pytest.approx(expected)
 
 
 def test_random_choice_win_prob_unanimous():
-    assert random_choice_win_prob([-0.4, -0.1], LINEAR, 1.0, True) == 1.0
-    assert random_choice_win_prob([0.4, 0.1], LINEAR, 1.0, True) == 0.0
+    assert _random_choice_win([-0.4, -0.1], LINEAR, 1.0, True) == 1.0
+    assert _random_choice_win([0.4, 0.1], LINEAR, 1.0, True) == 0.0
 
 
 def test_random_choice_all_zero_flag():
-    assert random_choice_win_prob([0.0, 0.0], LINEAR, 1.0, True) == 1.0
-    assert random_choice_win_prob([0.0, 0.0], LINEAR, 1.0, False) == 0.5
+    assert _random_choice_win([0.0, 0.0], LINEAR, 1.0, True) == 1.0
+    assert _random_choice_win([0.0, 0.0], LINEAR, 1.0, False) == 0.5
 
 
 def test_random_choice_beta_mixes_fraction_negative():
     # beta = 0 ignores leans entirely: probability = fraction of negatives
-    assert random_choice_win_prob([-0.9, 0.1, 0.1], LINEAR, 0.0, True) \
+    assert _random_choice_win([-0.9, 0.1, 0.1], LINEAR, 0.0, True) \
         == pytest.approx(1.0 / 3.0)
-    mixed = random_choice_win_prob([-0.9, 0.1, 0.1], LINEAR, 0.5, True)
-    pure = random_choice_win_prob([-0.9, 0.1, 0.1], LINEAR, 1.0, True)
+    mixed = _random_choice_win([-0.9, 0.1, 0.1], LINEAR, 0.5, True)
+    pure = _random_choice_win([-0.9, 0.1, 0.1], LINEAR, 1.0, True)
     assert mixed == pytest.approx(0.5 * pure + 0.5 / 3.0)
+
+
+@given(
+    diffs=st.lists(_diff_values, min_size=1, max_size=6),
+    data=st.data(),
+    beta=st.floats(0.0, 1.0),
+    all_zero_to_first=st.booleans(),
+)
+def test_random_choice_kernel_matches_per_group_loop(
+    diffs, data, beta, all_zero_to_first,
+):
+    diffs = np.array(diffs)
+    gvals = SQRT.apply(np.abs(diffs) / max(1.0, np.abs(diffs).max()))
+    k = data.draw(st.integers(1, 9))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, len(diffs) - 1), min_size=k, max_size=k),
+        min_size=1, max_size=8))
+    model = ModelConfig("random-choice", k, beta=beta,
+                        all_zero_to_first=all_zero_to_first)
+    got = group_win_probs(model, np.array(rows), diffs, gvals)
+    for row, win in zip(rows, got):
+        a = math.fsum(gvals[i] for i in row if diffs[i] < 0)
+        b = math.fsum(gvals[i] for i in row if diffs[i] > 0)
+        core = a / (a + b) if a + b > 0 else (1.0 if all_zero_to_first else 0.5)
+        n_neg = sum(1 for i in row if diffs[i] < 0)
+        want = beta * core + (1.0 - beta) * (n_neg / k)
+        # the kernel sums in another order: a few roundings per member
+        assert abs(win - want) <= (4 * k + 4) * np.finfo(float).eps
 
 
 # -- model config ------------------------------------------------------------
@@ -155,12 +228,10 @@ def test_exact_pk_random_choice_matches_manual():
     dist = BiasDistribution.from_atoms([(-0.25, 0.6), (1.0, 0.4)])
     inst = line_instance_from_bias_distribution(dist)
     model = ModelConfig("random-choice", k=2)
-    # enumerate the four ordered groups by hand
-    want = 0.0
-    for b1, p1 in [(-0.25, 0.6), (1.0, 0.4)]:
-        for b2, p2 in [(-0.25, 0.6), (1.0, 0.4)]:
-            want += p1 * p2 * random_choice_win_prob([b1, b2], LINEAR, 1.0,
-                                                     True)
+    # the four ordered groups by hand: both members for W wins surely, both
+    # against surely loses, and a mixed pair (two orders) wins with
+    # g(0.25) / (g(0.25) + g(1)) = 0.2
+    want = 0.6 * 0.6 + 2 * (0.6 * 0.4) * 0.2
     got = exact_pk(inst, model, "W", "X")
     assert got.value == pytest.approx(want, abs=1e-12)
 
@@ -196,3 +267,33 @@ def test_exact_pk_agrees_with_bias_distribution_route():
     a = exact_pk(inst, model, "c0", "c1").value
     b = exact_pk(synth, model, "W", "X").value
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def _rounded_sum_instance():
+    """Two locations whose stored diffs are 0.05 and -0.15000000000000002:
+    three of the first plus one of the second sum to a tiny negative exact
+    value, while the rounded product 3 * 0.05 cancels the second exactly."""
+    return MetricInstance.build(
+        ["A", "B"], [("u", 0.5), ("v", 0.5)],
+        {("A", "B"): 0.15, ("A", "u"): 0.1, ("B", "u"): 0.05,
+         ("A", "v"): 0.05, ("B", "v"): 0.2, ("u", "v"): 0.15},
+    )
+
+
+def test_exact_pk_decides_on_exact_sum_of_stored_diffs():
+    inst = _rounded_sum_instance()
+    d_u, d_v = 0.1 - 0.05, 0.05 - 0.2
+    assert (d_u, d_v) == (0.05, -0.15000000000000002)
+    # only the all-u group has a nonnegative exact sum; ties go to B
+    assert 3 * Fraction(d_u) + Fraction(d_v) < 0
+    assert 4 * Fraction(d_u) > 0
+    model = ModelConfig("averaging", k=4, tie_to_first=False)
+    assert exact_pk(inst, model, "A", "B").value == 15 / 16
+
+
+def test_monte_carlo_pk_decides_on_exact_sum_of_stored_diffs():
+    inst = _rounded_sum_instance()
+    model = ModelConfig("averaging", k=4, tie_to_first=False)
+    res = monte_carlo_pk(inst, model, "A", "B", 200_000, seed=1)
+    p = 15 / 16
+    assert abs(res.value - p) <= 5 * math.sqrt(p * (1 - p) / 200_000)

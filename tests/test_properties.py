@@ -35,19 +35,17 @@ from conftest import random_euclidean_instance
 def _random_tournament(rng, m):
     """Random dominance pattern: each pair gets one winner, or both on a tie."""
     beats = np.zeros((m, m), dtype=bool)
-    ties = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             r = rng.random()
             if r < 0.1:
                 beats[i, j] = beats[j, i] = True
-                ties[i, j] = ties[j, i] = True
             elif r < 0.55:
                 beats[i, j] = True
             else:
                 beats[j, i] = True
     names = tuple(f"c{i}" for i in range(m))
-    return Tournament(names, beats, ties, tol=0.0)
+    return Tournament(names, beats, tol=0.0)
 
 
 def test_copeland_winner_is_always_uncovered():

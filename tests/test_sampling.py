@@ -2,10 +2,12 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from delib.instances import lb1_instance
 from delib.metric import MetricInstance
 from delib.models import ModelConfig, exact_pk
 from delib.sampling import (
@@ -113,6 +115,18 @@ def test_ranking_estimator_converges():
     exact = exact_pmatrix_reference(inst, model)
     err = np.nanmax(np.abs(pm.p - exact.p))
     assert err <= 0.01
+
+
+def test_ranking_estimator_honours_ties_to_second():
+    # lb1_instance(3) puts mass on exact zero sums, so the tie rule matters:
+    # with ties to X the exact p(W, X) is 1/8
+    inst = lb1_instance(3)
+    model = ModelConfig("averaging", 3, tie_to_first=False)
+    groups = 20_000
+    pm = simulate_estimated_pmatrix(SampleRunConfig(inst, model, groups, seed=0))
+    exact = exact_pk(inst, model, "W", "X").value
+    radius = math.sqrt(math.log(2 / 1e-6) / (2 * groups))
+    assert abs(pm.p[0, 1] - exact) <= radius
 
 
 def test_matching_estimator_converges():

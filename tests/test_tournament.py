@@ -27,8 +27,7 @@ from conftest import random_euclidean_instance
 def _tournament_from_beats(beats):
     m = len(beats)
     B = np.array(beats, dtype=bool)
-    return Tournament(tuple(f"c{i}" for i in range(m)), B,
-                      B & B.T, 0.0)
+    return Tournament(tuple(f"c{i}" for i in range(m)), B, 0.0)
 
 
 def test_build_pmatrix_exact_orientations():
@@ -88,7 +87,6 @@ def test_build_tournament_beats_and_half_points():
     assert t.beats[0, 1] and not t.beats[1, 0]
     # the (a, c) pair sits exactly at 1/2 in both directions: shared point
     assert t.beats[0, 2] and t.beats[2, 0]
-    assert t.half_points[0, 2] and t.half_points[2, 0]
     scores = copeland_scores(t)
     assert scores == pytest.approx([1.5, 1.0, 0.5])
     assert copeland_winner(t) == "a"

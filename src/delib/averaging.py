@@ -515,10 +515,15 @@ def theta_lower_bound_closed_form(k: int) -> float:
 
 
 def two_point_win_prob(x: float, y: float, p: float, k: int) -> float:
-    """P[sum of k draws <= 0] for D = x w.p. 1-p, y w.p. p (exact)."""
+    """P[sum of k draws <= 0] for D = x w.p. 1-p, y w.p. p.
+
+    Each group is decided on the sign of the exact sum of its draws
+    (`math.fsum` rounds once, which keeps the sign), as in
+    `models.group_win_probs`.
+    """
     total = 0.0
     for j in range(k + 1):
-        if j * y + (k - j) * x <= 0:
+        if math.fsum([y] * j + [x] * (k - j)) <= 0:
             total += math.comb(k, j) * p**j * (1 - p) ** (k - j)
     return total
 

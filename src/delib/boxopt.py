@@ -2,12 +2,22 @@
 
 Interval branch and bound. Every interval arithmetic step is widened one
 ulp outward (epsilon inflation), so enclosures stay sound without touching
-the FPU rounding mode. The search pops the most promising boxes, splits
-each along its widest-relative-width variable, prunes children that are
-provably infeasible or provably no better than the incumbent, and harvests
-incumbents from exactly evaluated midpoints plus projected coordinate
-ascent. Reported upper bounds are rigorous whether or not the run ends
-certified.
+the FPU rounding mode.
+
+Each program is compiled once into a tape: its objective and constraints
+as one topologically ordered list of ops, with structurally equal subtrees
+merged, so a shared subexpression is evaluated once per pass. One pass over
+the tape evaluates every expression for a batch of points or boxes in plain
+floats, in intervals, or in intervals with interval gradients, and frees
+each intermediate result after its last use.
+
+The search pops the most promising boxes and splits each where
+|gradient| x half-width is largest over the objective and the constraints
+not yet settled (smear branching; `branching="widest"` splits the widest
+relative width instead). It prunes children that are provably infeasible
+or provably no better than the incumbent, and harvests incumbents from
+exactly evaluated midpoints plus projected coordinate ascent. Reported
+upper bounds are rigorous whether or not the run ends certified.
 
 Feasibility slack: incumbents may violate constraints by up to `feas_tol`
 after exact evaluation, and infeasibility pruning leaves the same slack,
@@ -17,9 +27,11 @@ so a slack-feasible incumbent can never sit inside a pruned box and
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +96,8 @@ class Expr:
             out = Mul(out, self)
         return out
 
-    # subclasses: degree(), names(into set), plain(X, idx), ival(LO, HI, idx), obj()
+    # subclasses: degree(), names(into set), obj(); evaluation goes
+    # through the compiled _Tape
 
 
 class Const(Expr):
@@ -98,18 +111,6 @@ class Const(Expr):
 
     def names(self, s):
         pass
-
-    def plain(self, X, idx):
-        return np.full(X.shape[0], self.v)
-
-    def ival(self, LO, HI, idx):
-        c = np.full(LO.shape[0], self.v)
-        return c, c.copy()
-
-    def grad(self, LO, HI, idx, n):
-        c = np.full(LO.shape[0], self.v)
-        z = np.zeros((n, LO.shape[0]))
-        return c, c.copy(), z, z.copy()
 
     def obj(self):
         return ["const", self.v]
@@ -127,25 +128,13 @@ class Var(Expr):
     def names(self, s):
         s.add(self.name)
 
-    def plain(self, X, idx):
-        return X[:, idx[self.name]]
-
-    def ival(self, LO, HI, idx):
-        j = idx[self.name]
-        return LO[:, j], HI[:, j]
-
-    def grad(self, LO, HI, idx, n):
-        j = idx[self.name]
-        z = np.zeros((n, LO.shape[0]))
-        z[j] = 1.0
-        return LO[:, j], HI[:, j], z, z.copy()
-
     def obj(self):
         return ["var", self.name]
 
 
-class Add(Expr):
+class _Binary(Expr):
     __slots__ = ("a", "b")
+    symbol = ""
 
     def __init__(self, a, b):
         self.a, self.b = a, b
@@ -157,90 +146,26 @@ class Add(Expr):
         self.a.names(s)
         self.b.names(s)
 
-    def plain(self, X, idx):
-        return self.a.plain(X, idx) + self.b.plain(X, idx)
-
-    def ival(self, LO, HI, idx):
-        al, ah = self.a.ival(LO, HI, idx)
-        bl, bh = self.b.ival(LO, HI, idx)
-        return _dn(al + bl), _up(ah + bh)
-
-    def grad(self, LO, HI, idx, n):
-        al, ah, Gal, Gah = self.a.grad(LO, HI, idx, n)
-        bl, bh, Gbl, Gbh = self.b.grad(LO, HI, idx, n)
-        return _dn(al + bl), _up(ah + bh), _dn(Gal + Gbl), _up(Gah + Gbh)
-
     def obj(self):
-        return ["+", self.a.obj(), self.b.obj()]
+        return [self.symbol, self.a.obj(), self.b.obj()]
 
 
-class Sub(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def degree(self):
-        return max(self.a.degree(), self.b.degree())
-
-    def names(self, s):
-        self.a.names(s)
-        self.b.names(s)
-
-    def plain(self, X, idx):
-        return self.a.plain(X, idx) - self.b.plain(X, idx)
-
-    def ival(self, LO, HI, idx):
-        al, ah = self.a.ival(LO, HI, idx)
-        bl, bh = self.b.ival(LO, HI, idx)
-        return _dn(al - bh), _up(ah - bl)
-
-    def grad(self, LO, HI, idx, n):
-        al, ah, Gal, Gah = self.a.grad(LO, HI, idx, n)
-        bl, bh, Gbl, Gbh = self.b.grad(LO, HI, idx, n)
-        return _dn(al - bh), _up(ah - bl), _dn(Gal - Gbh), _up(Gah - Gbl)
-
-    def obj(self):
-        return ["-", self.a.obj(), self.b.obj()]
+class Add(_Binary):
+    __slots__ = ()
+    symbol = "+"
 
 
-def _imul(al, ah, bl, bh):
-    c = np.stack([al * bl, al * bh, ah * bl, ah * bh])
-    return _dn(c.min(axis=0)), _up(c.max(axis=0))
+class Sub(_Binary):
+    __slots__ = ()
+    symbol = "-"
 
 
-class Mul(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
+class Mul(_Binary):
+    __slots__ = ()
+    symbol = "*"
 
     def degree(self):
         return self.a.degree() + self.b.degree()
-
-    def names(self, s):
-        self.a.names(s)
-        self.b.names(s)
-
-    def plain(self, X, idx):
-        return self.a.plain(X, idx) * self.b.plain(X, idx)
-
-    def ival(self, LO, HI, idx):
-        al, ah = self.a.ival(LO, HI, idx)
-        bl, bh = self.b.ival(LO, HI, idx)
-        return _imul(al, ah, bl, bh)
-
-    def grad(self, LO, HI, idx, n):
-        al, ah, Gal, Gah = self.a.grad(LO, HI, idx, n)
-        bl, bh, Gbl, Gbh = self.b.grad(LO, HI, idx, n)
-        vl, vh = _imul(al, ah, bl, bh)
-        # d(ab) = a db + b da, evaluated in intervals (broadcast over vars)
-        pl, ph = _imul(al[None, :], ah[None, :], Gbl, Gbh)
-        ql, qh = _imul(bl[None, :], bh[None, :], Gal, Gah)
-        return vl, vh, _dn(pl + ql), _up(ph + qh)
-
-    def obj(self):
-        return ["*", self.a.obj(), self.b.obj()]
 
 
 class Neg(Expr):
@@ -255,17 +180,6 @@ class Neg(Expr):
     def names(self, s):
         self.a.names(s)
 
-    def plain(self, X, idx):
-        return -self.a.plain(X, idx)
-
-    def ival(self, LO, HI, idx):
-        al, ah = self.a.ival(LO, HI, idx)
-        return -ah, -al
-
-    def grad(self, LO, HI, idx, n):
-        al, ah, Gal, Gah = self.a.grad(LO, HI, idx, n)
-        return -ah, -al, -Gah, -Gal
-
     def obj(self):
         return ["neg", self.a.obj()]
 
@@ -276,6 +190,158 @@ def var(name: str) -> Var:
 
 def variables(*names: str) -> list[Var]:
     return [Var(n) for n in names]
+
+
+def _imul(al, ah, bl, bh):
+    p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
+    return (_dn(np.minimum(np.minimum(p, q), np.minimum(r, s))),
+            _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
+
+
+# tape op kinds; ops from _ADD on take operand ops
+_CONST, _VAR, _ADD, _SUB, _MUL, _NEG = range(6)
+_KIND = {Add: _ADD, Sub: _SUB, Mul: _MUL}
+_PLAIN = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul,
+          _NEG: operator.neg}
+
+
+def _ival_op(kind, a, b=None):
+    al, ah = a
+    if kind == _NEG:
+        return -ah, -al
+    bl, bh = b
+    if kind == _ADD:
+        return _dn(al + bl), _up(ah + bh)
+    if kind == _SUB:
+        return _dn(al - bh), _up(ah - bl)
+    return _imul(al, ah, bl, bh)
+
+
+def _grad_op(kind, a, b=None):
+    """Interval value and interval gradient (rows = variables) of one op."""
+    if kind == _NEG:
+        return -a[1], -a[0], -a[3], -a[2]
+    vl, vh = _ival_op(kind, a[:2], b[:2])
+    if kind == _MUL:
+        # d(ab) = a db + b da, evaluated in intervals (broadcast over vars)
+        Gl, Gh = _ival_op(_ADD, _imul(a[0], a[1], b[2], b[3]),
+                          _imul(b[0], b[1], a[2], a[3]))
+    else:
+        Gl, Gh = _ival_op(kind, a[2:], b[2:])
+    return vl, vh, Gl, Gh
+
+
+class _Tape:
+    """Expressions compiled to one flat op list, shared subtrees merged.
+
+    ops[i] is (kind, arg): a constant's value, a variable's index, or the
+    indices of the operand ops, which always come before op i. roots[r] is
+    the op of expression r. Each op runs the same float operations as a
+    walk over the expression tree, so every result is bit-identical to it.
+    A pass frees each value after its last use and reduces each root as
+    soon as it is computed. Constant gradients stay (n, 1) columns; numpy
+    broadcasting gives the same values as full arrays.
+    """
+
+    def __init__(self, exprs, idx: dict[str, int], n: int):
+        self.ops: list[tuple] = []
+        self.degs = [e.degree() for e in exprs]
+        keys: dict = {}
+
+        def visit(e):
+            if isinstance(e, Const):
+                key, op = (_CONST, e.v.hex()), (_CONST, e.v)
+            elif isinstance(e, Var):
+                key = op = (_VAR, idx[e.name])
+            elif isinstance(e, Neg):
+                key = op = (_NEG, (visit(e.a),))
+            else:
+                key = op = (_KIND[type(e)], (visit(e.a), visit(e.b)))
+            i = keys.get(key)
+            if i is None:
+                i = keys[key] = len(self.ops)
+                self.ops.append(op)
+            return i
+
+        self.roots = [visit(e) for e in exprs]
+        operands = [arg if kind >= _ADD else () for kind, arg in self.ops]
+        last = {j: i for i, args in enumerate(operands) for j in args}
+        # values to free after op i: its operands' last use, and op i itself
+        # when no later op reads it
+        self._dead = [{j for j in (*args, i) if last.get(j, j) == i}
+                      for i, args in enumerate(operands)]
+        self._slots: dict[int, list[int]] = {}
+        for r, i in enumerate(self.roots):
+            self._slots.setdefault(i, []).append(r)
+        self._zero = np.zeros((n, 1))
+        self._unit = list(np.eye(n)[:, :, None])
+
+    def _run(self, leaf, op, reduce):
+        """Yields reduce(r, value of root r) for every root r, in order."""
+        vals: dict = {}
+        done: dict = {}
+        nxt = 0
+        for i, (kind, arg) in enumerate(self.ops):
+            if kind >= _ADD:
+                v = op(kind, *[vals[j] for j in arg])
+            else:
+                v = leaf(kind, arg)
+            vals[i] = v
+            for j in self._dead[i]:
+                del vals[j]
+            for r in self._slots.get(i, ()):
+                done[r] = reduce(r, v)
+            while nxt in done:
+                yield done.pop(nxt)
+                nxt += 1
+
+    def plain(self, X: np.ndarray) -> list:
+        """Float values of the roots at the rows of X (points x variables)."""
+        return list(self._run(
+            lambda kind, arg: (np.full(X.shape[0], arg) if kind == _CONST
+                               else X[:, arg]),
+            lambda kind, *args: _PLAIN[kind](*args),
+            lambda r, v: v,
+        ))
+
+    def ival(self, LO: np.ndarray, HI: np.ndarray) -> list:
+        """Natural interval extensions (lo, hi) of the roots over the boxes."""
+        return list(self._run(
+            lambda kind, arg: (np.full(LO.shape[0], arg),) * 2
+            if kind == _CONST else (LO[:, arg], HI[:, arg]),
+            _ival_op,
+            lambda r, v: v,
+        ))
+
+    def enclose(self, LO, HI, RADT):
+        """Sound enclosures (lo, hi, |gradient| bound) of the roots over the
+        boxes, one root at a time: the natural extension intersected with
+        the centered form f(mid) + grad(box) . (box - mid) for nonlinear
+        expressions."""
+        N = LO.shape[0]
+        MID = 0.5 * (LO + HI)
+        centers = self.ival(MID, MID)
+        zero, unit = self._zero, self._unit
+
+        def leaf(kind, arg):
+            if kind == _CONST:
+                c = np.full(N, arg)
+                return c, c, zero, zero
+            return LO[:, arg], HI[:, arg], unit[arg], unit[arg]
+
+        def reduce(r, v):
+            vl, vh, Gl, Gh = v
+            mag = np.maximum(np.abs(Gl), np.abs(Gh))
+            if self.degs[r] > 1:
+                ml, mh = centers[r]
+                rad = np.zeros(N)
+                for term in _up(RADT * mag):
+                    rad = _up(rad + term)
+                vl = np.maximum(vl, _dn(ml - rad))
+                vh = np.minimum(vh, _up(mh + rad))
+            return vl, vh, mag
+
+        return self._run(leaf, _grad_op, reduce)
 
 
 @dataclass(frozen=True)
@@ -321,6 +387,13 @@ class BoxProgram:
             if e.degree() > MAX_DEGREE:
                 raise ValueError(f"expression degree {e.degree()} exceeds {MAX_DEGREE}")
 
+    @functools.cached_property
+    def _tape(self) -> _Tape:
+        """The program compiled on first use: root 0 is the objective, root
+        i + 1 is constraint i."""
+        return _Tape([self.objective] + [c.expr for c in self.constraints],
+                     self.idx, self.n)
+
     @property
     def n(self) -> int:
         return len(self.var_names)
@@ -352,7 +425,7 @@ def interval_eval(expr: Expr, box: dict[str, tuple[float, float]]):
     idx = {n: i for i, n in enumerate(names)}
     LO = np.array([[box[n][0] for n in names]])
     HI = np.array([[box[n][1] for n in names]])
-    lo, hi = _wrap(expr).ival(LO, HI, idx)
+    (lo, hi), = _Tape([_wrap(expr)], idx, len(names)).ival(LO, HI)
     return float(lo[0]), float(hi[0])
 
 
@@ -388,30 +461,28 @@ class GlobalOptimum:
         )
 
 
-def _feasible_mask(prog: BoxProgram, X: np.ndarray, feas_tol: float) -> np.ndarray:
+def _evaluate(prog: BoxProgram, X: np.ndarray, feas_tol: float):
+    """Slack-feasibility and objective value at each row of X, one pass."""
+    obj, *gs = prog._tape.plain(X)
     ok = np.ones(X.shape[0], dtype=bool)
-    for c in prog.constraints:
-        g = c.expr.plain(X, prog.idx)
+    for c, g in zip(prog.constraints, gs):
         if c.relation == ">=":
             ok &= g >= c.rhs - feas_tol
         else:
             ok &= g <= c.rhs + feas_tol
-    return ok
+    return ok, obj
 
 
-def _is_feasible(prog: BoxProgram, x: np.ndarray, feas_tol: float) -> bool:
-    return bool(_feasible_mask(prog, x[None, :], feas_tol)[0])
-
-
-def _objective_at(prog: BoxProgram, x: np.ndarray) -> float:
-    return float(prog.objective.plain(x[None, :], prog.idx)[0])
+_ASCENT_FRACS = (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8)
 
 
 def _coordinate_ascent(
     prog: BoxProgram, x: np.ndarray, val: float, feas_tol: float, sweeps: int = 3,
 ) -> tuple[np.ndarray, float]:
     """First-improvement hill climb, one coordinate at a time, inside the
-    global box; deterministic. Candidate moves must stay slack-feasible."""
+    global box; deterministic. Candidate moves must stay slack-feasible.
+    A coordinate's moves are tried as one batch, and the first improving
+    one in (larger step first, + before -) order is taken."""
     widths = prog.upper - prog.lower
     x = x.copy()
     for _ in range(sweeps):
@@ -419,24 +490,23 @@ def _coordinate_ascent(
         for j in range(prog.n):
             if widths[j] == 0:
                 continue
-            for frac in (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8):
+            moves = []
+            for frac in _ASCENT_FRACS:
                 step = widths[j] * frac
                 for s in (step, -step):
                     xj = min(prog.upper[j], max(prog.lower[j], x[j] + s))
-                    if xj == x[j]:
-                        continue
-                    cand = x.copy()
-                    cand[j] = xj
-                    if not _is_feasible(prog, cand, feas_tol):
-                        continue
-                    v = _objective_at(prog, cand)
-                    if v > val:
-                        x, val = cand, v
-                        improved = True
-                        break
-                else:
-                    continue
-                break
+                    if xj != x[j]:
+                        moves.append(xj)
+            if not moves:
+                continue
+            cand = np.repeat(x[None, :], len(moves), axis=0)
+            cand[:, j] = moves
+            ok, vals = _evaluate(prog, cand, feas_tol)
+            better = np.flatnonzero(ok & (vals > val))
+            if better.size:
+                b = better[0]
+                x, val = cand[b], float(vals[b])
+                improved = True
         if not improved:
             break
     return x, val
@@ -451,6 +521,9 @@ def _split_dim(lo: np.ndarray, hi: np.ndarray) -> int:
         if lo[j] < mid < hi[j]:
             return int(j)
     return -1
+
+
+_SHAVE_FRACS = (0.5, 0.5, 0.25, 0.25, 0.125, 0.125)
 
 
 def solve_global(
@@ -482,8 +555,7 @@ def solve_global(
     """
     if branching not in ("smear", "widest"):
         raise ValueError(f"unknown branching rule: {branching!r}")
-    n = prog.n
-    idx = prog.idx
+    tape = prog._tape
     inc_val = -math.inf
     inc_x: np.ndarray | None = None
 
@@ -492,33 +564,27 @@ def solve_global(
         if v > inc_val:
             inc_val, inc_x = v, x.copy()
 
+    def try_point(x: np.ndarray):
+        ok, v = _evaluate(prog, x[None, :], feas_tol)
+        if ok[0]:
+            consider(x, float(v[0]))
+
     for s in seeds:
         if isinstance(s, dict):
             x = np.array([float(s[name]) for name in prog.var_names])
         else:
             x = np.asarray(s, dtype=float)
         x = np.minimum(prog.upper, np.maximum(prog.lower, x))
-        if _is_feasible(prog, x, feas_tol):
-            x2, v2 = _coordinate_ascent(prog, x, _objective_at(prog, x), feas_tol)
-            consider(x2, v2)
+        ok, v = _evaluate(prog, x[None, :], feas_tol)
+        if ok[0]:
+            consider(*_coordinate_ascent(prog, x, float(v[0]), feas_tol))
 
-    obj_deg = prog.objective.degree()
-    con_degs = [c.expr.degree() for c in prog.constraints]
-    obj_j = idx[prog.objective.name] if isinstance(prog.objective, Var) else None
+    obj_j = prog.idx[prog.objective.name] if isinstance(prog.objective, Var) else None
 
-    def _enclose(e, deg, LO, HI, MID, RADT):
-        """Sound enclosure: natural extension intersected with the centered
-        form f(mid) + grad(box) . (box - mid) for nonlinear expressions."""
-        vl, vh, Gl, Gh = e.grad(LO, HI, idx, n)
-        mag = np.maximum(np.abs(Gl), np.abs(Gh))
-        if deg > 1:
-            ml, mh = e.ival(MID, MID, idx)
-            r = np.zeros(LO.shape[0])
-            for j in range(n):
-                r = _up(r + _up(RADT[j] * mag[j]))
-            vl = np.maximum(vl, _dn(ml - r))
-            vh = np.minimum(vh, _up(mh + r))
-        return vl, vh, mag
+    def violated(c, gl, gh):
+        if c.relation == ">=":
+            return gh < c.rhs - feas_tol
+        return gl > c.rhs + feas_tol
 
     def child_bounds(LO, HI):
         """Per box: objective upper bound, infeasibility flag, and split dim.
@@ -527,19 +593,14 @@ def solve_global(
         branching (split where |grad| x width is largest over the objective
         and the not-yet-settled constraints).
         """
-        MID = 0.5 * (LO + HI)
         RADT = (0.5 * (HI - LO)).T          # (n, N)
-        ol, oh, omag = _enclose(prog.objective, obj_deg, LO, HI, MID, RADT)
+        roots = tape.enclose(LO, HI, RADT)
+        ol, oh, omag = next(roots)
         smear = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
-        for c, deg in zip(prog.constraints, con_degs):
-            gl, gh, gmag = _enclose(c.expr, deg, LO, HI, MID, RADT)
-            if c.relation == ">=":
-                infeas |= gh < c.rhs - feas_tol
-                active = gl < c.rhs
-            else:
-                infeas |= gl > c.rhs + feas_tol
-                active = gh > c.rhs
+        for c, (gl, gh, gmag) in zip(prog.constraints, roots):
+            infeas |= violated(c, gl, gh)
+            active = gl < c.rhs if c.relation == ">=" else gh > c.rhs
             smear += gmag * RADT * active[None, :]
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
@@ -548,35 +609,33 @@ def solve_global(
 
     def infeasible_mask(LO, HI):
         """Constraints-only infeasibility, same enclosures as child_bounds."""
-        MID = 0.5 * (LO + HI)
-        RADT = (0.5 * (HI - LO)).T
+        roots = tape.enclose(LO, HI, (0.5 * (HI - LO)).T)
+        next(roots)                         # the objective
         infeas = np.zeros(LO.shape[0], dtype=bool)
-        for c, deg in zip(prog.constraints, con_degs):
-            gl, gh, _ = _enclose(c.expr, deg, LO, HI, MID, RADT)
-            if c.relation == ">=":
-                infeas |= gh < c.rhs - feas_tol
-            else:
-                infeas |= gl > c.rhs + feas_tol
+        for c, (gl, gh, _) in zip(prog.constraints, roots):
+            infeas |= violated(c, gl, gh)
         return infeas
-
-    _SHAVE_FRACS = (0.5, 0.5, 0.25, 0.25, 0.125, 0.125)
 
     def shave_objective(LO, HI):
         """When the objective is a bare variable, chop provably infeasible
         top slabs off its dimension. Contraction, not branching: every
         feasible point survives, and each box's objective bound drops to
-        its new upper edge."""
-        for frac in _SHAVE_FRACS:
-            width = HI[:, obj_j] - LO[:, obj_j]
-            s = width * frac
+        its new upper edge. A repeated fraction re-tests only the boxes the
+        previous round chopped: any other box would test the same slab."""
+        test = np.arange(LO.shape[0])
+        for k, frac in enumerate(_SHAVE_FRACS):
+            if k == 0 or frac != _SHAVE_FRACS[k - 1]:
+                test = np.arange(LO.shape[0])
+            s = (HI[test, obj_j] - LO[test, obj_j]) * frac
             live = s > 0
-            if not live.any():
-                break
-            SLO = LO.copy()
-            SLO[:, obj_j] = HI[:, obj_j] - s
-            chop = infeasible_mask(SLO, HI) & live
-            if chop.any():
-                HI[chop, obj_j] -= s[chop]
+            test, s = test[live], s[live]
+            if not test.size:
+                continue
+            SLO, SHI = LO[test], HI[test]
+            SLO[:, obj_j] = SHI[:, obj_j] - s
+            chop = infeasible_mask(SLO, SHI)
+            test = test[chop]
+            HI[test, obj_j] -= s[chop]
         return HI[:, obj_j].copy()
 
     lo0, hi0 = prog.lower.copy(), prog.upper.copy()
@@ -591,14 +650,13 @@ def solve_global(
         if collect_infeasible:
             infeasible_samples.append((lo0.tolist(), hi0.tolist()))
     else:
-        mid = 0.5 * (lo0 + hi0)
-        if _is_feasible(prog, mid, feas_tol):
-            consider(mid, _objective_at(prog, mid))
+        try_point(0.5 * (lo0 + hi0))
         heapq.heappush(heap, (-float(ub0[0]), counter, lo0, hi0, int(sdim0[0])))
         counter += 1
 
     status = None
     target_met = False
+    stuck = None            # incumbent value the last ascent started from
     while True:
         global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
         gap = global_ub - inc_val
@@ -628,32 +686,33 @@ def solve_global(
         if not parents:
             continue
 
-        child_lo, child_hi = [], []
-        for lo, hi, sdim in parents:
-            j = sdim
-            if not (lo[j] < 0.5 * (lo[j] + hi[j]) < hi[j]):
-                j = _split_dim(lo, hi)
-            if j < 0:
-                # box too small to split: try its corner exactly, keep the
-                # enclosure's upper bound so the final bound stays rigorous
-                if _is_feasible(prog, lo, feas_tol):
-                    consider(lo, _objective_at(prog, lo))
-                ub1, inf1, _ = child_bounds(lo[None, :], hi[None, :])
-                if not inf1[0]:
-                    residual = max(residual, float(ub1[0]))
+        PLO = np.stack([p[0] for p in parents])
+        PHI = np.stack([p[1] for p in parents])
+        rows = np.arange(len(parents))
+        J = np.array([p[2] for p in parents])
+        M = 0.5 * (PLO[rows, J] + PHI[rows, J])
+        split = (PLO[rows, J] < M) & (M < PHI[rows, J])
+        for i in np.flatnonzero(~split):
+            lo, hi = PLO[i], PHI[i]
+            j = _split_dim(lo, hi)
+            if j >= 0:
+                J[i], M[i], split[i] = j, 0.5 * (lo[j] + hi[j]), True
                 continue
-            mid = 0.5 * (lo[j] + hi[j])
-            l1, h1 = lo.copy(), hi.copy()
-            h1[j] = mid
-            l2, h2 = lo.copy(), hi.copy()
-            l2[j] = mid
-            child_lo.extend([l1, l2])
-            child_hi.extend([h1, h2])
-
-        if not child_lo:
+            # box too small to split: try its corner exactly, keep the
+            # enclosure's upper bound so the final bound stays rigorous
+            try_point(lo)
+            ub1, inf1, _ = child_bounds(lo[None, :], hi[None, :])
+            if not inf1[0]:
+                residual = max(residual, float(ub1[0]))
+        if not split.any():
             continue
-        LO = np.stack(child_lo)
-        HI = np.stack(child_hi)
+        # children in parent order, lower half first
+        J, M = np.repeat(J[split], 2), np.repeat(M[split], 2)
+        LO = np.repeat(PLO[split], 2, axis=0)
+        HI = np.repeat(PHI[split], 2, axis=0)
+        rows = np.arange(LO.shape[0])
+        HI[rows[0::2], J[0::2]] = M[0::2]
+        LO[rows[1::2], J[1::2]] = M[1::2]
         boxes += LO.shape[0]
         ubs, infeas, sdims = child_bounds(LO, HI)
         if collect_infeasible and len(infeasible_samples) < collect_infeasible:
@@ -669,23 +728,23 @@ def solve_global(
             ubs[kidx] = new_ubs
         mids = 0.5 * (LO[keep] + HI[keep])
         if mids.size:
-            feas = _feasible_mask(prog, mids, feas_tol)
+            feas, vals = _evaluate(prog, mids, feas_tol)
             if feas.any():
-                vals = prog.objective.plain(mids[feas], idx)
+                vals = vals[feas]
                 b = int(np.argmax(vals))
                 consider(mids[feas][b], float(vals[b]))
 
-        improved = False
-        for i in np.flatnonzero(keep):
-            if ubs[i] > inc_val:
-                heapq.heappush(
-                    heap, (-float(ubs[i]), counter, LO[i], HI[i], int(sdims[i]))
-                )
-                counter += 1
-                improved = True
-        if inc_x is not None and improved:
-            x2, v2 = _coordinate_ascent(prog, inc_x, inc_val, feas_tol, sweeps=1)
-            consider(x2, v2)
+        # the heap holds rows of compact copies, so pruned boxes are freed
+        push = np.flatnonzero(keep & (ubs > inc_val))
+        for lo, hi, ub, sdim in zip(LO[push], HI[push], ubs[push].tolist(),
+                                    sdims[push].tolist()):
+            heapq.heappush(heap, (-ub, counter, lo, hi, sdim))
+            counter += 1
+        # an ascent from an incumbent it already failed to improve would
+        # repeat the same moves: the incumbent changes only when inc_val rises
+        if inc_x is not None and push.size and inc_val != stuck:
+            stuck = inc_val
+            consider(*_coordinate_ascent(prog, inc_x, inc_val, feas_tol, sweeps=1))
 
     global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
     if status == INFEASIBLE:

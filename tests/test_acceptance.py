@@ -99,6 +99,10 @@ def test_theta3_certified_bounds_and_incumbent(theta3_run):
         assert opt.bound <= (0.2530 if case == 3 else 0.2505)
     assert res.incumbent_value >= 0.2499
     assert res.audit_pk >= 0.5
+    # pinned search trajectory of the two fastest cases
+    assert res.per_case[7].boxes == 82_241
+    assert res.per_case[8].boxes == 66_593
+    assert res.per_case[8].bound == 0.25030517578125
 
 
 def test_random_choice_headline_table():

@@ -66,6 +66,11 @@ def test_solve_copeland_k2_above_threshold_certifies_negative():
     # the margin is thin: a hair above the 2 + sqrt(2) threshold
     assert case1.bound > -1e-3
     assert case2.bound > -1e-3
+    # the search trajectory is pinned: a change to the enclosures or the
+    # search order shows up here first
+    assert (case1.boxes, case2.boxes) == (14_491, 56_209)
+    assert case1.bound == -8.008039858067849e-05
+    assert case2.bound == -7.424092720149327e-05
 
 
 def test_solve_copeland_k2_below_threshold_has_positive_witness():
@@ -137,6 +142,16 @@ def test_two_point_win_prob_hand_values():
     # k=2, y-mass p: wins unless both draws are y, since x + y <= 0
     p = 0.3
     assert two_point_win_prob(-1.0, 1.0, p, 2) == pytest.approx(1 - p * p)
+
+
+def test_two_point_win_prob_decides_on_exact_sum():
+    # 3 * 0.7 rounds to 2.0999999999999996, but the exact sum of the group
+    # of three y-draws and one x-draw is +2.2e-16: that group loses, so
+    # only the groups with 0, 1 or 2 y-draws win: (1 + 4 + 6) / 16
+    x, y = -2.0999999999999996, 0.7
+    assert 3 * y + x <= 0
+    assert math.fsum([y, y, y, x]) > 0
+    assert two_point_win_prob(x, y, 0.5, 4) == 0.6875
 
 
 def test_two_point_win_prob_matches_audit():

@@ -2,11 +2,17 @@ import math
 
 import pytest
 
+import numpy as np
+
+from delib.averaging import build_k2_case_program, build_theta3_case_program
 from delib.boxopt import (
     BUDGET_EXHAUSTED,
     CERTIFIED,
+    DEFAULT_FEAS_TOL,
     INFEASIBLE,
     BoxProgram,
+    _coordinate_ascent,
+    _evaluate,
     interval_eval,
     solve_global,
     var,
@@ -149,3 +155,52 @@ def test_degree_cap_enforced():
     x = var("x")
     with pytest.raises(ValueError):
         BoxProgram([("x", 0.0, 1.0)], x ** 5)
+
+
+def _ascent_one_move_at_a_time(prog, x, val, feas_tol, sweeps):
+    """The coordinate ascent as a scalar loop: each move is checked alone."""
+    widths = prog.upper - prog.lower
+    x = x.copy()
+    for _ in range(sweeps):
+        improved = False
+        for j in range(prog.n):
+            if widths[j] == 0:
+                continue
+            for frac in (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8):
+                step = widths[j] * frac
+                for s in (step, -step):
+                    xj = min(prog.upper[j], max(prog.lower[j], x[j] + s))
+                    if xj == x[j]:
+                        continue
+                    cand = x.copy()
+                    cand[j] = xj
+                    ok, v = _evaluate(prog, cand[None, :], feas_tol)
+                    if ok[0] and v[0] > val:
+                        x, val = cand, float(v[0])
+                        improved = True
+                        break
+                else:
+                    continue
+                break
+        if not improved:
+            break
+    return x, val
+
+
+@pytest.mark.parametrize("prog", [
+    _corner_program("<="),
+    build_k2_case_program(1, 3.4152),
+    build_theta3_case_program(5),
+], ids=lambda p: p.name)
+def test_batched_ascent_takes_the_scalar_loops_moves(prog):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = prog.lower + rng.random(prog.n) * (prog.upper - prog.lower)
+        ok, v = _evaluate(prog, x[None, :], DEFAULT_FEAS_TOL)
+        val = float(v[0]) if ok[0] else -math.inf
+        for sweeps in (1, 3):
+            got = _coordinate_ascent(prog, x, val, DEFAULT_FEAS_TOL, sweeps)
+            want = _ascent_one_move_at_a_time(prog, x, val, DEFAULT_FEAS_TOL,
+                                              sweeps)
+            assert got[1] == want[1]
+            assert np.array_equal(got[0], want[0])

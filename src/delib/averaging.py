@@ -444,6 +444,11 @@ def _theta3_seeds(case: int):
               "p1": 1.0, "p2": 1.0, "p3": 1.0}]
     if case == 5:
         seeds.append(lb1_k3_point())
+    if case == 6:
+        # feasible in exact arithmetic with objective 1/4; without it the
+        # search finds no incumbent above th = 0 and cannot certify
+        seeds.append({"th": 0.25, "c1": 1.0, "c2": 1.0, "c3": 1.5,
+                      "p1": 0.0, "p2": 0.0, "p3": 0.5})
     return seeds
 
 
@@ -467,14 +472,15 @@ def solve_theta3(
 
     Case 3 is the hardest: its solve stops as soon as the rigorous bound
     drops to case3_bound_target. Every other case stops the same way at
-    bound_target. At the defaults only case 5 certifies to within tol; the
-    other seven end BudgetExhausted at their target, each still with a
-    valid bound, so the value is the case-3 bound (about 0.2529), not 0.25
-    plus the tolerance. The solves take minutes: case 5 alone runs for
-    about five. The reported incumbent is the k = 3 lower-bound witness
-    with mean 0.25, independently audited by exact enumeration. threads
-    caps concurrent case solves without affecting any reported number;
-    case 5, which runs until it certifies, is started first.
+    bound_target. At the defaults cases 5 and 6 certify to within tol,
+    each from a seeded feasible point at 0.25; the other six end
+    BudgetExhausted at their target, each still with a valid bound, so the
+    value is the case-3 bound (about 0.2529), not 0.25 plus the tolerance.
+    The solves take minutes: case 5 alone evaluates about 1.65M boxes.
+    The reported incumbent is the k = 3 lower-bound witness with mean
+    0.25, independently audited by exact enumeration. threads caps
+    concurrent case solves without affecting any reported number; case 5,
+    the longest, is started first.
     """
     run = partial(
         _solve_theta3_case, tol=tol, budget=budget,

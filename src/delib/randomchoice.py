@@ -20,6 +20,22 @@ refinement in the best cell plus one analytic candidate, the boundary
 alpha where the omega -> 0+ limit of the constraint is tight (for the
 linear transform this is alpha = 2**(-1/k), and the optimum sits there).
 
+The binary search for one alpha is evaluated several levels per numpy
+pass: one pass computes the constraint at all 2**d - 1 midpoints of the
+next d levels, each formed as 0.5 * (lo + hi) from its neighbours, and
+the path through them is then walked in Python. That replays the
+one-level-at-a-time bisection exactly, decision for decision, without
+relying on the float constraint being monotone. On the alpha grid only
+the alphas that are feasible at omega = 1 and not already feasible at
+omega = 0 are bisected.
+
+Summation order is part of the result. numpy sums the k terms of one
+case pairwise when they are contiguous (a single case, or cases in rows)
+but left to right when the cases are the columns of a (k, m >= 2) array.
+A single alpha is solved with its candidates in rows, and the grid keeps
+at least two columns, so every value matches the sequential bisection
+bit for bit.
+
 The inversion group_size_for_epsilon finds the smallest group size whose
 certified distortion beats 1 + epsilon; the Chernoff-style closed form
 4/delta^2 * log(2/delta) with epsilon = C_EPSILON_PER_DELTA * delta is
@@ -34,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import copeland_distortion_from_theta, lower_bounds_from_theta
 from .instances import line_instance_from_bias_distribution
 from .metric import BiasDistribution
 from .models import LINEAR, BiasTransform, ModelConfig, exact_pk
@@ -42,6 +59,7 @@ INFEASIBLE = math.inf      # sentinel: no omega in [0,1] satisfies the constrain
 C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
 GROUP_SIZE_CAP = 4096      # largest k the doubling search will certify
 _DIRECT_WEIGHT_MAX_K = 1000   # above this, binomial weights go through lgamma
+_BLOCK_LEVELS = 5             # bisection levels decided per pass of a scalar solve
 
 
 def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
@@ -49,7 +67,7 @@ def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
     a = np.asarray(alphas, dtype=float)
     ell = np.arange(1, k + 1)
     if k <= _DIRECT_WEIGHT_MAX_K:
-        comb = np.array([float(math.comb(k, int(l))) for l in ell])
+        comb = np.array([float(math.comb(k, l)) for l in range(1, k + 1)])
         with np.errstate(divide="ignore"):
             return comb[:, None] * a[None, :] ** ell[:, None] \
                 * (1.0 - a)[None, :] ** (k - ell)[:, None]
@@ -69,16 +87,25 @@ def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
 
 
 def _lhs_array(
-    k: int, weights: np.ndarray, alphas: np.ndarray, omegas: np.ndarray,
-    g: BiasTransform, beta: float,
+    k: int, weights: np.ndarray, alphas: np.ndarray | float, omegas,
+    g: BiasTransform, beta: float, axis: int = 0,
 ) -> np.ndarray:
-    """Relaxed win probability for each (alpha, omega) column."""
+    """Relaxed win probability for each (alpha, omega) case.
+
+    The terms l = 1..k run along `axis` of weights: axis 0 puts the cases
+    in columns (summed left to right when there are several), axis 1 puts
+    them in rows (each row summed pairwise, as a single column is).
+    """
     ell = np.arange(1, k + 1, dtype=float)[:, None]
     gw = np.asarray(g.apply(np.asarray(omegas, dtype=float)))[None, :]
+    if axis:
+        ell, gw = ell.T, gw.T
     num = ell * gw
     den = num + (k - ell)
-    frac = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return beta * (weights * frac).sum(axis=0) + (1.0 - beta) * alphas
+    # den is 0 only where num is (l = k at g(omega) = 0), and that term is
+    # 0; flooring den at the least subnormal leaves every other den as is
+    frac = num / np.maximum(den, math.ulp(0.0))
+    return beta * (weights * frac).sum(axis=axis) + (1.0 - beta) * alphas
 
 
 def constraint_lhs(
@@ -108,24 +135,80 @@ def _check_unit(name: str, x: float) -> None:
         raise ValueError(f"{name} must be in [0,1], got {x!r}")
 
 
+def _bisection_steps(tol: float) -> int:
+    return max(1, math.ceil(math.log2(1.0 / tol)))
+
+
 def _min_omega_array(
     k: int, alphas: np.ndarray, g: BiasTransform, beta: float, tol: float,
 ) -> np.ndarray:
-    """Smallest feasible omega per alpha (within tol); inf where none."""
+    """Smallest feasible omega (within tol) per alpha of a grid of two or
+    more; inf where none. Only the undecided alphas are bisected."""
     a = np.asarray(alphas, dtype=float)
     w = _binomial_weights(k, a)
     feasible = _lhs_array(k, w, a, np.ones_like(a), g, beta) >= 0.5
     at_zero = _lhs_array(k, w, a, np.zeros_like(a), g, beta) >= 0.5
-    lo = np.zeros_like(a)
-    hi = np.ones_like(a)
-    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
-        mid = 0.5 * (lo + hi)
-        ok = _lhs_array(k, w, a, mid, g, beta) >= 0.5
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    out = np.where(at_zero, 0.0, hi)
-    out[~feasible] = INFEASIBLE
+    out = np.where(feasible, 0.0, INFEASIBLE)
+    idx = np.flatnonzero(feasible & ~at_zero)
+    if idx.size == 1:
+        idx = np.repeat(idx, 2)   # a single column would be summed pairwise
+    if idx.size:
+        w, a = w[:, idx], a[idx]
+        lo = np.zeros_like(a)
+        hi = np.ones_like(a)
+        for _ in range(_bisection_steps(tol)):
+            mid = 0.5 * (lo + hi)
+            ok = _lhs_array(k, w, a, mid, g, beta) >= 0.5
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid)
+        out[idx] = hi
     return out
+
+
+def _subdivide(lo: float, hi: float, levels: int) -> list[float]:
+    """lo, the 2**levels - 1 bisection midpoints between lo and hi in
+    order, and hi; each midpoint is 0.5 * (left + right) of its
+    neighbours one level up, as the sequential bisection computes it."""
+    pts = [lo, hi]
+    for _ in range(levels):
+        finer = [lo]
+        for x, y in zip(pts, pts[1:]):
+            finer += (0.5 * (x + y), y)
+        pts = finer
+    return pts
+
+
+def _min_omega(
+    k: int, alpha: float, g: BiasTransform, beta: float, tol: float,
+) -> float:
+    """Smallest feasible omega for one alpha: the bisection of
+    _min_omega_array, decided _BLOCK_LEVELS levels per pass. The first
+    pass also tests omega = 1 (feasibility) and omega = 0."""
+    w = _binomial_weights(k, np.array([alpha])).T
+    lo, hi = 0.0, 1.0
+    ends = [1.0, 0.0]
+    steps = _bisection_steps(tol)
+    while steps > 0:
+        levels = min(steps, _BLOCK_LEVELS)
+        pts = _subdivide(lo, hi, levels)
+        ok = (_lhs_array(k, w, alpha, ends + pts[1:-1], g, beta, axis=1)
+              >= 0.5).tolist()
+        if ends:
+            if not ok[0]:
+                return INFEASIBLE
+            if ok[1]:
+                return 0.0
+            ok, ends = ok[2:], []
+        i, j = 0, len(pts) - 1
+        while j - i > 1:
+            m = (i + j) // 2
+            if ok[m - 1]:
+                j = m
+            else:
+                i = m
+        lo, hi = pts[i], pts[j]
+        steps -= levels
+    return hi
 
 
 def min_feasible_omega(
@@ -146,7 +229,7 @@ def min_feasible_omega(
     _check_unit("beta", beta)
     if k < 1:
         raise ValueError(f"group size must be >= 1, got {k}")
-    return float(_min_omega_array(k, np.array([float(alpha)]), g, beta, tol)[0])
+    return _min_omega(k, float(alpha), g, beta, tol)
 
 
 @dataclass
@@ -196,12 +279,14 @@ class ZetaResult:
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 60):
+    """Golden-section search on the first item of f(x) = (value, ...);
+    returns (x, *f(x)) at the best point."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 < f2:
+        if f1[0] < f2[0]:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + ratio * (hi - lo)
             f2 = f(x2)
@@ -209,7 +294,7 @@ def _golden_max(f, lo: float, hi: float, iters: int = 60):
             hi, x2, f2 = x2, x1, f1
             x1 = hi - ratio * (hi - lo)
             f1 = f(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    return (x1, *f1) if f1[0] >= f2[0] else (x2, *f2)
 
 
 def _boundary_alpha(k: int, beta: float) -> float:
@@ -257,28 +342,25 @@ def zeta(
         raise RuntimeError("no feasible alpha on the grid")
     best_v, best_a, best_w = float(obj[i]), float(grid[i]), float(omg[i])
 
-    def objective(a: float) -> float:
-        w = _min_omega_array(k, np.array([a]), g, beta, omega_tol)[0]
-        return (1.0 - a) - a * w if math.isfinite(w) else -math.inf
+    def objective(a: float) -> tuple[float, float]:
+        w = _min_omega(k, a, g, beta, omega_tol)
+        return ((1.0 - a) - a * w if math.isfinite(w) else -math.inf), w
 
     lo = max(0.0, best_a - 1.0 / n)
     hi = min(1.0, best_a + 1.0 / n)
-    a_ref, v_ref = _golden_max(objective, lo, hi)
+    a_ref, v_ref, w_ref = _golden_max(objective, lo, hi)
     if v_ref > best_v:
-        best_v, best_a = v_ref, a_ref
-        best_w = float(_min_omega_array(k, np.array([a_ref]), g, beta, omega_tol)[0])
+        best_v, best_a, best_w = v_ref, a_ref, w_ref
     a_c = _boundary_alpha(k, beta)
-    v_c = objective(a_c)
+    v_c, w_c = objective(a_c)
     if v_c > best_v:
-        best_v, best_a = v_c, a_c
-        best_w = float(_min_omega_array(k, np.array([a_c]), g, beta, omega_tol)[0])
+        best_v, best_a, best_w = v_c, a_c, w_c
 
-    ratio = (1.0 + best_v) / (1.0 - best_v)
+    det_lb, rand_lb = lower_bounds_from_theta(best_v)
     return ZetaResult(
         k=k, g=g.spec(), beta=beta, value=best_v, alpha=best_a, omega=best_w,
-        distortion_upper=ratio * ratio,
-        det_lb=min(3.0, ratio),
-        rand_lb=min(2.0, 1.0 / (1.0 - best_v)),
+        distortion_upper=copeland_distortion_from_theta(best_v),
+        det_lb=det_lb, rand_lb=rand_lb,
         alpha_step=1.0 / n, omega_tol=omega_tol,
     )
 

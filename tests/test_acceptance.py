@@ -99,6 +99,8 @@ def test_theta3_certified_bounds_and_incumbent(theta3_run):
         assert opt.bound <= (0.2530 if case == 3 else 0.2505)
     assert res.incumbent_value >= 0.2499
     assert res.audit_pk >= 0.5
+    # case 6 certifies from its exactly feasible seed at objective 1/4
+    assert res.per_case[6].status == CERTIFIED
     # pinned search trajectory of the two fastest cases
     assert res.per_case[7].boxes == 82_241
     assert res.per_case[8].boxes == 66_593

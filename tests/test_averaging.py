@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,8 +19,9 @@ from delib.averaging import (
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
     two_point_win_prob,
+    _theta3_seeds,
 )
-from delib.boxopt import CERTIFIED, solve_global
+from delib.boxopt import CERTIFIED, Add, Const, Mul, Neg, Var, solve_global
 from delib.metric import BiasDistribution
 
 
@@ -109,6 +111,37 @@ def test_lb1_k3_point_is_feasible_for_case5():
     dist = lb1_k3_distribution()
     assert dist.mean() == pytest.approx(0.25, abs=0.0)
     assert audit_distribution(dist, 3) == pytest.approx(0.5, abs=AUDIT_TOL)
+
+
+def _exact(e, point):
+    """Value of an expression in exact rational arithmetic."""
+    if isinstance(e, Const):
+        return Fraction(e.v)
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Neg):
+        return -_exact(e.a, point)
+    a, b = _exact(e.a, point), _exact(e.b, point)
+    return a * b if isinstance(e, Mul) else a + b if isinstance(e, Add) else a - b
+
+
+def test_theta3_case6_seed_is_exactly_feasible():
+    # the seed that lets case 6 certify: (th, c1, c2, c3, p1, p2, p3) =
+    # (1/4, 1, 1, 3/2, 0, 0, 1/2) satisfies all 14 constraints of the
+    # reduced program in exact arithmetic, at objective 1/4
+    prog = build_theta3_case_program(6)
+    seed = _theta3_seeds(6)[-1]
+    point = {n: Fraction(v) for n, v in seed.items()}
+    assert point == {"th": Fraction(1, 4), "c1": 1, "c2": 1,
+                     "c3": Fraction(3, 2), "p1": 0, "p2": 0,
+                     "p3": Fraction(1, 2)}
+    for i, n in enumerate(prog.var_names):
+        assert prog.lower[i] <= point[n] <= prog.upper[i]
+    assert _exact(prog.objective, point) == Fraction(1, 4)
+    assert len(prog.constraints) == 14
+    for c in prog.constraints:
+        v = _exact(c.expr, point)
+        assert v >= c.rhs if c.relation == ">=" else v <= c.rhs
 
 
 def test_closed_form_bounds():

@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import delib.randomchoice as rc
 from delib.models import LINEAR, SQRT, BiasTransform
@@ -94,6 +96,105 @@ def test_min_feasible_omega_infeasible_alpha():
 def test_min_feasible_omega_monotone_in_alpha():
     vals = [min_feasible_omega(3, a) for a in np.linspace(0.6, 0.95, 12)]
     assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:]))
+
+
+# -- bisection replay ------------------------------------------------------------
+#
+# Reference: the bisection one level per pass, with the alphas as columns
+# of one (k, m) array, as every solve ran before the blocked scalar path.
+
+
+def _sequential_lhs(k, weights, alphas, omegas, g, beta):
+    ell = np.arange(1, k + 1, dtype=float)[:, None]
+    gw = np.asarray(g.apply(np.asarray(omegas, dtype=float)))[None, :]
+    num = ell * gw
+    den = num + (k - ell)
+    frac = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return beta * (weights * frac).sum(axis=0) + (1.0 - beta) * alphas
+
+
+def _sequential_min_omega(k, alphas, g, beta, tol):
+    a = np.asarray(alphas, dtype=float)
+    w = rc._binomial_weights(k, a)
+    feasible = _sequential_lhs(k, w, a, np.ones_like(a), g, beta) >= 0.5
+    at_zero = _sequential_lhs(k, w, a, np.zeros_like(a), g, beta) >= 0.5
+    lo = np.zeros_like(a)
+    hi = np.ones_like(a)
+    for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
+        mid = 0.5 * (lo + hi)
+        ok = _sequential_lhs(k, w, a, mid, g, beta) >= 0.5
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    out = np.where(at_zero, 0.0, hi)
+    out[~feasible] = math.inf
+    return out
+
+
+_units = st.floats(0.0, 1.0)
+
+
+@given(k=st.integers(1, 60), alpha=_units, beta=_units,
+       g=st.sampled_from([LINEAR, SQRT]),
+       tol=st.floats(1e-12, 0.3))
+def test_scalar_solve_replays_sequential_bisection(k, alpha, beta, g, tol):
+    want = float(_sequential_min_omega(k, [alpha], g, beta, tol)[0])
+    got = min_feasible_omega(k, alpha, g, beta, tol)
+    assert got.hex() == want.hex()
+
+
+@given(k=st.integers(1, 60), alpha=_units, beta=_units,
+       g=st.sampled_from([LINEAR, SQRT]),
+       omegas=st.lists(_units, min_size=1, max_size=40))
+def test_row_layout_sums_each_case_like_a_single_column(k, alpha, beta, g,
+                                                       omegas):
+    # candidates in rows are summed pairwise, as one (k, 1) column is
+    a = np.array([alpha])
+    w = rc._binomial_weights(k, a)
+    got = rc._lhs_array(k, w.T, a, omegas, g, beta, axis=1)
+    want = [_sequential_lhs(k, w, a, [o], g, beta)[0] for o in omegas]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("alpha_step", [0.7, 0.5, 1e-2])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
+def test_pruned_grid_replays_sequential_bisection(alpha_step, k):
+    # alpha_step 0.7 gives the grid (0, 1) and 0.5 gives (0, 1/2, 1), so
+    # only one or two alphas are left to bisect. At tol 1e-15 the
+    # bisection of alpha = 1/2 ends where the summation order of the
+    # constraint decides the last bit (k = 8, beta = 0.01).
+    n = max(1, round(1.0 / alpha_step))
+    grid = np.arange(n + 1) / n
+    for g in (LINEAR, SQRT):
+        for beta in (1.0, 0.5, 0.01, 0.0):
+            for tol in (1e-9, 1e-15):
+                want = _sequential_min_omega(k, grid, g, beta, tol)
+                got = rc._min_omega_array(k, grid, g, beta, tol)
+                assert got.tobytes() == want.tobytes(), (g, beta, tol)
+
+
+@pytest.mark.parametrize("k, g, beta, want", [
+    (3, LINEAR, 1.0, {
+        "k": 3, "g": "linear", "beta": 1.0, "zeta": 0.2062994736859412,
+        "alpha": 0.7937005255748676, "omega": 9.313225746154785e-10,
+        "distortion_upper": 2.309920005109069, "det_lb": 1.5198420987421914,
+        "rand_lb": 1.2599210493710957, "alpha_step": 0.001, "omega_tol": 1e-09,
+    }),
+    (9, SQRT, 1.0, {
+        "k": 9, "g": "sqrt", "beta": 1.0, "zeta": 0.19998798936478146,
+        "alpha": 0.6999557881545937, "omega": 0.1429464891552925,
+        "distortion_upper": 2.249887403393994, "det_lb": 1.4999624673284309,
+        "rand_lb": 1.2499812336642155, "alpha_step": 0.001, "omega_tol": 1e-09,
+    }),
+    (2, LINEAR, 0.5, {
+        "k": 2, "g": "linear", "beta": 0.5, "zeta": 0.3819660108711608,
+        "alpha": 0.6180339885532502, "omega": 9.313225746154785e-10,
+        "distortion_upper": 4.999999991126484, "det_lb": 2.236067975515611,
+        "rand_lb": 1.6180339877578056, "alpha_step": 0.001, "omega_tol": 1e-09,
+    }),
+])
+def test_zeta_json_pinned(k, g, beta, want):
+    # the values of the one-level-per-pass bisection, to the last bit
+    assert zeta(k, g, beta).to_json() == json.dumps(want, indent=2)
 
 
 # -- the optimum ----------------------------------------------------------------

@@ -231,6 +231,21 @@ def _grad_op(kind, a, b=None):
     return vl, vh, Gl, Gh
 
 
+def _mid_rad(LO, HI):
+    """Centers of the boxes and their half-widths (variables x boxes)."""
+    return 0.5 * (LO + HI), (0.5 * (HI - LO)).T
+
+
+def _centered(vl, vh, ml, mh, RADT, mag):
+    """The natural extension [vl, vh] intersected with the centered form
+    [ml, mh] +- sum_j RADT_j mag_j, each term and partial sum rounded up.
+    mag is (variables x boxes), or stacks several expressions in front."""
+    rad = np.zeros(ml.shape)
+    for term in np.moveaxis(_up(RADT * mag), -2, 0):
+        rad = _up(rad + term)
+    return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
+
+
 class _Tape:
     """Expressions compiled to one flat op list, shared subtrees merged.
 
@@ -246,6 +261,7 @@ class _Tape:
     def __init__(self, exprs, idx: dict[str, int], n: int):
         self.ops: list[tuple] = []
         self.degs = [e.degree() for e in exprs]
+        self.nonlinear = [r for r, d in enumerate(self.degs) if d > 1]
         keys: dict = {}
 
         def visit(e):
@@ -313,13 +329,13 @@ class _Tape:
             lambda r, v: v,
         ))
 
-    def enclose(self, LO, HI, RADT):
+    def enclose(self, LO, HI):
         """Sound enclosures (lo, hi, |gradient| bound) of the roots over the
         boxes, one root at a time: the natural extension intersected with
         the centered form f(mid) + grad(box) . (box - mid) for nonlinear
         expressions."""
         N = LO.shape[0]
-        MID = 0.5 * (LO + HI)
+        MID, RADT = _mid_rad(LO, HI)
         centers = self.ival(MID, MID)
         zero, unit = self._zero, self._unit
 
@@ -333,15 +349,30 @@ class _Tape:
             vl, vh, Gl, Gh = v
             mag = np.maximum(np.abs(Gl), np.abs(Gh))
             if self.degs[r] > 1:
-                ml, mh = centers[r]
-                rad = np.zeros(N)
-                for term in _up(RADT * mag):
-                    rad = _up(rad + term)
-                vl = np.maximum(vl, _dn(ml - rad))
-                vh = np.minimum(vh, _up(mh + rad))
+                vl, vh = _centered(vl, vh, *centers[r], RADT, mag)
             return vl, vh, mag
 
         return self._run(leaf, _grad_op, reduce)
+
+    def enclose_within(self, LO, HI, mags):
+        """Sound enclosures (lo, hi) of the roots over boxes that lie inside
+        boxes already enclosed: mags stacks the |gradient| bounds of the
+        nonlinear roots over the enclosing boxes (nonlinear roots x
+        variables x boxes). Those bounds hold on every sub-box, so the
+        centered form needs only one interval pass over the boxes stacked
+        with their centers, and no gradient pass."""
+        N = LO.shape[0]
+        MID, RADT = _mid_rad(LO, HI)
+        both = self.ival(np.concatenate([LO, MID]), np.concatenate([HI, MID]))
+        out = [(lo[:N], hi[:N]) for lo, hi in both]
+        if self.nonlinear:
+            box, mid = slice(N), slice(N, None)
+            vl, vh, ml, mh = (np.stack([both[r][k][s] for r in self.nonlinear])
+                              for s in (box, mid) for k in (0, 1))
+            vl, vh = _centered(vl, vh, ml, mh, RADT, mags)
+            for i, r in enumerate(self.nonlinear):
+                out[r] = vl[i], vh[i]
+        return out
 
 
 @dataclass(frozen=True)
@@ -587,41 +618,40 @@ def solve_global(
         return gl > c.rhs + feas_tol
 
     def child_bounds(LO, HI):
-        """Per box: objective upper bound, infeasibility flag, and split dim.
+        """Per box: objective upper bound, infeasibility flag, split dim,
+        and the |gradient| bounds of the nonlinear constraints.
 
         The gradients driving the centered form also drive smear-based
         branching (split where |grad| x width is largest over the objective
         and the not-yet-settled constraints).
         """
         RADT = (0.5 * (HI - LO)).T          # (n, N)
-        roots = tape.enclose(LO, HI, RADT)
+        roots = tape.enclose(LO, HI)
         ol, oh, omag = next(roots)
         smear = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
-        for c, (gl, gh, gmag) in zip(prog.constraints, roots):
+        mags = []
+        for r, (c, (gl, gh, gmag)) in enumerate(zip(prog.constraints, roots), 1):
             infeas |= violated(c, gl, gh)
             active = gl < c.rhs if c.relation == ">=" else gh > c.rhs
             smear += gmag * RADT * active[None, :]
+            if tape.degs[r] > 1:
+                mags.append(gmag)
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
-            return oh, infeas, np.argmax((HI - LO).T / scale.T, axis=0)
-        return oh, infeas, np.argmax(smear, axis=0)
+            sdim = np.argmax((HI - LO).T / scale.T, axis=0)
+        else:
+            sdim = np.argmax(smear, axis=0)
+        return oh, infeas, sdim, mags
 
-    def infeasible_mask(LO, HI):
-        """Constraints-only infeasibility, same enclosures as child_bounds."""
-        roots = tape.enclose(LO, HI, (0.5 * (HI - LO)).T)
-        next(roots)                         # the objective
-        infeas = np.zeros(LO.shape[0], dtype=bool)
-        for c, (gl, gh, _) in zip(prog.constraints, roots):
-            infeas |= violated(c, gl, gh)
-        return infeas
-
-    def shave_objective(LO, HI):
+    def shave_objective(LO, HI, MAGS):
         """When the objective is a bare variable, chop provably infeasible
         top slabs off its dimension. Contraction, not branching: every
         feasible point survives, and each box's objective bound drops to
-        its new upper edge. A repeated fraction re-tests only the boxes the
-        previous round chopped: any other box would test the same slab."""
+        its new upper edge. A slab lies inside its box, so the box's
+        nonlinear-constraint gradient bounds MAGS serve every slab. A
+        repeated fraction re-tests only the boxes the previous round
+        chopped: any other box would test the same slab."""
         test = np.arange(LO.shape[0])
         for k, frac in enumerate(_SHAVE_FRACS):
             if k == 0 or frac != _SHAVE_FRACS[k - 1]:
@@ -633,13 +663,16 @@ def solve_global(
                 continue
             SLO, SHI = LO[test], HI[test]
             SLO[:, obj_j] = SHI[:, obj_j] - s
-            chop = infeasible_mask(SLO, SHI)
+            _, *cons = tape.enclose_within(SLO, SHI, MAGS[:, :, test])
+            chop = np.zeros(test.size, dtype=bool)
+            for c, (gl, gh) in zip(prog.constraints, cons):
+                chop |= violated(c, gl, gh)
             test = test[chop]
             HI[test, obj_j] -= s[chop]
         return HI[:, obj_j].copy()
 
     lo0, hi0 = prog.lower.copy(), prog.upper.copy()
-    ub0, infeas0, sdim0 = child_bounds(lo0[None, :], hi0[None, :])
+    ub0, infeas0, sdim0, _ = child_bounds(lo0[None, :], hi0[None, :])
     boxes = 1
     residual = -math.inf          # sup over dropped undecided slivers
     infeasible_samples: list = []
@@ -701,7 +734,7 @@ def solve_global(
             # box too small to split: try its corner exactly, keep the
             # enclosure's upper bound so the final bound stays rigorous
             try_point(lo)
-            ub1, inf1, _ = child_bounds(lo[None, :], hi[None, :])
+            ub1, inf1, _, _ = child_bounds(lo[None, :], hi[None, :])
             if not inf1[0]:
                 residual = max(residual, float(ub1[0]))
         if not split.any():
@@ -714,7 +747,7 @@ def solve_global(
         HI[rows[0::2], J[0::2]] = M[0::2]
         LO[rows[1::2], J[1::2]] = M[1::2]
         boxes += LO.shape[0]
-        ubs, infeas, sdims = child_bounds(LO, HI)
+        ubs, infeas, sdims, mags = child_bounds(LO, HI)
         if collect_infeasible and len(infeasible_samples) < collect_infeasible:
             for i in np.flatnonzero(infeas)[: collect_infeasible - len(infeasible_samples)]:
                 infeasible_samples.append((LO[i].tolist(), HI[i].tolist()))
@@ -723,7 +756,9 @@ def solve_global(
         kidx = np.flatnonzero(keep)
         if obj_j is not None and kidx.size:
             KHI = HI[kidx]
-            new_ubs = shave_objective(LO[kidx], KHI)
+            MAGS = (np.stack(mags)[:, :, kidx] if mags
+                    else np.empty((0, prog.n, kidx.size)))
+            new_ubs = shave_objective(LO[kidx], KHI, MAGS)
             HI[kidx] = KHI
             ubs[kidx] = new_ubs
         mids = 0.5 * (LO[keep] + HI[keep])

@@ -224,7 +224,7 @@ def test_enclosures_match_tree_walk_bit_for_bit(prog, data):
     tape = _tape(names, exprs)
     LO, HI = data.draw(_boxes(len(names)))
     natural = tape.ival(LO, HI)
-    centered = list(tape.enclose(LO, HI, (0.5 * (HI - LO)).T))
+    centered = list(tape.enclose(LO, HI))
     for e, got_n, got_c in zip(exprs, natural, centered):
         assert all(map(_same_bits, got_n, _ival_tree(e, LO, HI, idx)))
         assert all(map(_same_bits, got_c, _enclose_tree(e, LO, HI, idx)))
@@ -236,7 +236,7 @@ def test_interval_and_centered_enclosures_contain_exact_values(prog, data):
     tape = _tape(names, exprs)
     LO, HI = data.draw(_boxes(len(names)))
     natural = tape.ival(LO, HI)
-    centered = list(tape.enclose(LO, HI, (0.5 * (HI - LO)).T))
+    centered = list(tape.enclose(LO, HI))
     for row in range(LO.shape[0]):
         for x in _rational_points(data, LO[row], HI[row]):
             point = dict(zip(names, x))

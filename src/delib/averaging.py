@@ -366,63 +366,39 @@ def _theta3_range(case: int, c1, c2, c3):
     return [], [c1]
 
 
-def build_theta3_case_program(case: int, reduced: bool = True) -> BoxProgram:
+def build_theta3_case_program(case: int) -> BoxProgram:
     """One of the eight case programs bounding theta_3.
 
-    Reduced form (solved): variables th, c_i, p_i with the two-point
-    distributions recovered as a_i = th + c_i p_i, b_i = a_i - c_i. The
-    box restricts th >= 0, which is harmless because a feasible point with
-    th = 0 (all gaps zero) exists in every case. Full form (artifact):
-    all thirteen variables a_i, b_i, c_i, p_i, th with the defining
-    equalities as paired inequalities.
+    Variables th, c_i, p_i, with the two-point distributions recovered as
+    a_i = th + c_i p_i, b_i = a_i - c_i, so the defining equalities of the
+    a_i, b_i hold by construction. The box restricts th >= 0, which is
+    harmless because a feasible point with th = 0 (all gaps zero) exists
+    in every case.
     """
     if case not in THETA3_CASES:
         raise ValueError(f"case must be 1..8, got {case}")
     th = Var("th")
     c = [Var("c1"), Var("c2"), Var("c3")]
     p = [Var("p1"), Var("p2"), Var("p3")]
-    order = [(c[2] - c[1], ">=", 0.0), (c[1] - c[0], ">=", 0.0)]
-    prob = [(_theta3_prob_expr(case, *p), ">=", 0.5)]
-    if reduced:
-        S = 3 * th + c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
-        lo, hi = _theta3_range(case, *c)
-        cons = order + prob + _theta3_prob_cuts(case, *p)
-        for e in lo:
-            cons.append((S - e, ">=", 0.0))
-        for e in hi:
-            cons.append((S - e, "<=", 0.0))
-        for i in range(3):
-            cons.append((th + c[i] * p[i], "<=", 1.0))          # a_i <= 1
-            cons.append((c[i] * (1 - p[i]) - th, "<=", 1.0))    # b_i >= -1
-        return BoxProgram(
-            [("th", 0, 1), ("c1", 0, 2), ("c2", 0, 2), ("c3", 0, 2),
-             ("p1", 0, 1), ("p2", 0, 1), ("p3", 0, 1)],
-            th,
-            cons,
-            name=f"theta3-case{case}-reduced",
-        )
-    a = [Var("a1"), Var("a2"), Var("a3")]
-    b = [Var("b1"), Var("b2"), Var("b3")]
-    S = a[0] + a[1] + a[2]
+    S = 3 * th + c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
     lo, hi = _theta3_range(case, *c)
-    cons = order + prob
+    cons = [(c[2] - c[1], ">=", 0.0), (c[1] - c[0], ">=", 0.0),
+            (_theta3_prob_expr(case, *p), ">=", 0.5)]
+    cons += _theta3_prob_cuts(case, *p)
     for e in lo:
         cons.append((S - e, ">=", 0.0))
     for e in hi:
         cons.append((S - e, "<=", 0.0))
     for i in range(3):
-        cons.append((b[i] - a[i], "<=", 0.0))
-        cons.append((a[i] - b[i] - c[i], "<=", 0.0))
-        cons.append((a[i] - b[i] - c[i], ">=", 0.0))
-        mean = b[i] * p[i] + a[i] * (1 - p[i])
-        cons.append((mean - th, "<=", 0.0))
-        cons.append((mean - th, ">=", 0.0))
-    names = [("a", a), ("b", b)]
-    var_list = [(f"{n}{i + 1}", -1.0, 1.0) for n, vs in names for i in range(3)]
-    var_list += [(f"c{i + 1}", 0.0, 2.0) for i in range(3)]
-    var_list += [(f"p{i + 1}", 0.0, 1.0) for i in range(3)]
-    var_list += [("th", 0.0, 1.0)]
-    return BoxProgram(var_list, th, cons, name=f"theta3-case{case}")
+        cons.append((th + c[i] * p[i], "<=", 1.0))          # a_i <= 1
+        cons.append((c[i] * (1 - p[i]) - th, "<=", 1.0))    # b_i >= -1
+    return BoxProgram(
+        [("th", 0, 1), ("c1", 0, 2), ("c2", 0, 2), ("c3", 0, 2),
+         ("p1", 0, 1), ("p2", 0, 1), ("p3", 0, 1)],
+        th,
+        cons,
+        name=f"theta3-case{case}-reduced",     # bench/spans.py keys on it
+    )
 
 
 def lb1_k3_point() -> dict[str, float]:
@@ -453,7 +429,7 @@ def _theta3_seeds(case: int):
 
 
 def _solve_theta3_case(case, tol, budget, case3_bound_target, bound_target):
-    prog = build_theta3_case_program(case, reduced=True)
+    prog = build_theta3_case_program(case)
     target = case3_bound_target if case == 3 else bound_target
     return solve_global(
         prog, tol=tol, max_boxes=budget, seeds=_theta3_seeds(case),

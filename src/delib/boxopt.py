@@ -2,7 +2,8 @@
 
 Interval branch and bound. Every interval arithmetic step is widened one
 ulp outward (epsilon inflation), so enclosures stay sound without touching
-the FPU rounding mode.
+the FPU rounding mode. The centered form's radius is, per coordinate, the
+distance from the box's center to its farther edge, rounded up.
 
 Each program is compiled once into a tape: its objective and constraints
 as one topologically ordered list of ops, with structurally equal subtrees
@@ -18,6 +19,16 @@ relative width instead). It prunes children that are provably infeasible
 or provably no better than the incumbent, and harvests incumbents from
 exactly evaluated midpoints plus projected coordinate ascent. Reported
 upper bounds are rigorous whether or not the run ends certified.
+
+When the objective is a bare variable, each kept child is also shaved:
+provably infeasible top slabs of that variable's range are cut off. A
+slab lies inside its child, so the child's |gradient| bounds of the
+nonlinear constraints serve the slab's centered form, and a slab costs
+one interval pass over its rows stacked with their centers, not a fresh
+gradient pass. The result is bit-identical to a fresh pass when the
+objective variable is never a factor of a product whose other factor is
+non-constant (as in every theta_3 case): then no gradient enclosure
+depends on that variable's range.
 
 Feasibility slack: incumbents may violate constraints by up to `feas_tol`
 after exact evaluation, and infeasibility pruning leaves the same slack,
@@ -232,8 +243,12 @@ def _grad_op(kind, a, b=None):
 
 
 def _mid_rad(LO, HI):
-    """Centers of the boxes and their half-widths (variables x boxes)."""
-    return 0.5 * (LO + HI), (0.5 * (HI - LO)).T
+    """Centers of the boxes and, per coordinate, an upper bound on the
+    distance from the center to either edge (variables x boxes). The
+    rounded half-width 0.5 (HI - LO) can fall short of that distance, so
+    each side's distance is rounded up and the larger one taken."""
+    MID = 0.5 * (LO + HI)
+    return MID, np.maximum(_up(HI - MID), _up(MID - LO)).T
 
 
 def _centered(vl, vh, ml, mh, RADT, mag):

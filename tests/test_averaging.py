@@ -71,8 +71,8 @@ def test_solve_copeland_k2_above_threshold_certifies_negative():
     # the search trajectory is pinned: a change to the enclosures or the
     # search order shows up here first
     assert (case1.boxes, case2.boxes) == (14_491, 56_209)
-    assert case1.bound == -8.008039858067849e-05
-    assert case2.bound == -7.424092720149327e-05
+    assert case1.bound == -8.008039858067844e-05
+    assert case2.bound == -7.424092720149326e-05
 
 
 def test_solve_copeland_k2_below_threshold_has_positive_witness():

@@ -1,10 +1,15 @@
 import math
+import sys
 
 import pytest
 
 import numpy as np
 
-from delib.averaging import build_k2_case_program, build_theta3_case_program
+from delib.averaging import (
+    _theta3_seeds,
+    build_k2_case_program,
+    build_theta3_case_program,
+)
 from delib.boxopt import (
     BUDGET_EXHAUSTED,
     CERTIFIED,
@@ -12,6 +17,7 @@ from delib.boxopt import (
     INFEASIBLE,
     BoxProgram,
     _coordinate_ascent,
+    _Tape,
     _evaluate,
     interval_eval,
     solve_global,
@@ -204,3 +210,54 @@ def test_batched_ascent_takes_the_scalar_loops_moves(prog):
                                               sweeps)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
+
+
+# solve_theta3's tol and seeds, no bound target; (case, branching, budget)
+# -> (boxes, bound, status), taken before the objective shave reused the
+# enclosing box's gradient bounds
+_THETA3_TRAJECTORIES = {
+    (1, "smear", 6000): (6465, 0.4417088031768799, BUDGET_EXHAUSTED),
+    (2, "smear", 6000): (6259, 0.4365234375, BUDGET_EXHAUSTED),
+    (3, "smear", 6000): (6487, 0.5, BUDGET_EXHAUSTED),
+    (4, "smear", 6000): (6045, 0.3980712890625, BUDGET_EXHAUSTED),
+    (5, "smear", 6000): (6507, 0.53460693359375, BUDGET_EXHAUSTED),
+    (6, "smear", 6000): (6443, 0.3808441162109375, BUDGET_EXHAUSTED),
+    (7, "smear", 6000): (6465, 0.470703125, BUDGET_EXHAUSTED),
+    (8, "smear", 6000): (6177, 0.56341552734375, BUDGET_EXHAUSTED),
+    (8, "widest", 3000): (3273, 0.6875, BUDGET_EXHAUSTED),
+}
+
+
+def _solve_theta3_capped(case, branching, budget):
+    return solve_global(build_theta3_case_program(case), tol=5e-4,
+                        max_boxes=budget, seeds=_theta3_seeds(case),
+                        branching=branching)
+
+
+@pytest.mark.parametrize("key", _THETA3_TRAJECTORIES,
+                         ids=lambda k: f"case{k[0]}-{k[1]}-{k[2]}")
+def test_theta3_search_trajectory_pinned(key):
+    res = _solve_theta3_capped(*key)
+    assert (res.boxes, res.bound, res.status) == _THETA3_TRAJECTORIES[key]
+
+
+def test_objective_shave_makes_no_gradient_pass(monkeypatch):
+    # every slab reuses its box's gradient bounds: the only gradient passes
+    # are child_bounds' own, while the shave runs enclose_within
+    callers, slab_passes = [], []
+    enclose, within = _Tape.enclose, _Tape.enclose_within
+
+    def counted_enclose(self, LO, HI):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return enclose(self, LO, HI)
+
+    def counted_within(self, LO, HI, mags):
+        slab_passes.append(LO.shape[0])
+        return within(self, LO, HI, mags)
+
+    monkeypatch.setattr(_Tape, "enclose", counted_enclose)
+    monkeypatch.setattr(_Tape, "enclose_within", counted_within)
+    res = _solve_theta3_capped(8, "smear", 3000)
+    assert res.boxes >= 3000
+    assert callers and set(callers) == {"child_bounds"}
+    assert slab_passes

@@ -14,7 +14,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from delib.boxopt import _CONST, Add, Const, Mul, Neg, Sub, Var, _dn, _Tape, _up
+from delib.boxopt import (
+    _CONST, Add, Const, Mul, Neg, Sub, Var, _dn, _mid_rad, _Tape, _up,
+)
 
 _coords = st.floats(min_value=-4.0, max_value=4.0,
                     allow_nan=False, allow_infinity=False)
@@ -83,6 +85,20 @@ def _boxes(draw, n):
         for j in range(n):
             a, b = sorted([draw(_coords), draw(_coords)])
             lo[r, j], hi[r, j] = a, b
+    return lo, hi
+
+
+@st.composite
+def _narrow_boxes(draw, n):
+    """A few boxes over n variables, each side at most 4 wide and often
+    narrow, where the centered form beats the natural extension."""
+    rows = draw(st.integers(1, 4))
+    lo, hi = np.empty((rows, n)), np.empty((rows, n))
+    for r in range(rows):
+        for j in range(n):
+            c = draw(_coords)
+            h = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 2.0]))
+            lo[r, j], hi[r, j] = c - h, c + h
     return lo, hi
 
 
@@ -187,7 +203,7 @@ def _enclose_tree(e, LO, HI, idx):
     mag = np.maximum(np.abs(Gl), np.abs(Gh))
     if e.degree() > 1:
         MID = 0.5 * (LO + HI)
-        RADT = (0.5 * (HI - LO)).T
+        RADT = np.maximum(_up(HI - MID), _up(MID - LO)).T
         ml, mh = _ival_tree(e, MID, MID, idx)
         r = np.zeros(LO.shape[0])
         for j in range(LO.shape[1]):
@@ -291,3 +307,94 @@ def test_equal_subtrees_compile_to_one_op(prog):
     twice = _tape(names, exprs + [_copy(e) for e in exprs])
     assert twice.ops == tape.ops
     assert twice.roots == tape.roots + tape.roots
+
+
+_RADIUS_BOXES = [
+    (-1.7148085531751386e-11, 0.7296554464470921),
+    (2.701930100448224e-12, 3.22728442292395e-12),
+]
+
+
+def _radius_covers(lo, hi):
+    """Whether the centered form's radius covers the exact distance from
+    the center to both edges of every coordinate of every box."""
+    MID, RADT = _mid_rad(lo, hi)
+    for row in range(lo.shape[0]):
+        for j in range(lo.shape[1]):
+            m = Fraction(MID[row, j])
+            reach = max(Fraction(hi[row, j]) - m, m - Fraction(lo[row, j]))
+            if Fraction(RADT[j, row]) < reach:
+                return False
+    return True
+
+
+def test_centered_form_radius_covers_the_distance_to_the_center():
+    # on both boxes the rounded half-width 0.5 (hi - lo) falls short
+    lo = np.array([[a for a, _ in _RADIUS_BOXES]])
+    hi = np.array([[b for _, b in _RADIUS_BOXES]])
+    assert _radius_covers(lo, hi)
+
+
+@given(data=st.data())
+def test_centered_form_radius_covers_random_boxes(data):
+    assert _radius_covers(*data.draw(_boxes(3)))
+
+
+def _slab_program(draw, linear):
+    """(names, roots, j): roots[0] is the bare variable names[j]. With
+    linear, that variable enters each other root only through sums and
+    products with a constant; otherwise it is one of the random program's
+    variables and may sit in any product."""
+    names, exprs = draw(_programs())
+    if not linear:
+        j = draw(st.integers(0, len(names) - 1))
+        return names, [Var(names[j])] + exprs, j
+    t = Var("t")
+    roots = [t]
+    for e in exprs:
+        c = Const(draw(_consts))
+        term = draw(st.sampled_from([t, Mul(c, t), Mul(t, c), Neg(t)]))
+        e = draw(st.sampled_from([Add(e, term), Sub(e, term), Sub(term, e)]))
+        if draw(st.booleans()):
+            e = Mul(Const(draw(_consts)), e)
+        roots.append(e)
+    return names + ["t"], roots, len(names)
+
+
+def _slabs(data, names, roots, j):
+    """Tape, boxes, their nonlinear |gradient| bounds, and top slabs of
+    the boxes in coordinate j."""
+    tape = _tape(names, roots)
+    LO, HI = data.draw(_narrow_boxes(len(names)))
+    encl = list(tape.enclose(LO, HI))
+    mags = np.array([encl[r][2] for r in tape.nonlinear]).reshape(
+        len(tape.nonlinear), len(names), LO.shape[0])
+    frac = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
+    SLO = LO.copy()
+    SLO[:, j] = np.maximum(LO[:, j], HI[:, j] - (HI[:, j] - LO[:, j]) * frac)
+    return tape, SLO, HI, mags
+
+
+@given(data=st.data())
+def test_slab_enclosures_match_a_fresh_pass_when_the_variable_is_linear(data):
+    names, roots, j = _slab_program(data.draw, linear=True)
+    tape, SLO, SHI, mags = _slabs(data, names, roots, j)
+    fresh = list(tape.enclose(SLO, SHI))
+    for got, want in zip(tape.enclose_within(SLO, SHI, mags), fresh):
+        assert all(map(_same_bits, got, want[:2]))
+
+
+@given(data=st.data())
+def test_slab_enclosures_contain_exact_values(data):
+    names, roots, j = _slab_program(data.draw, linear=False)
+    tape, SLO, SHI, mags = _slabs(data, names, roots, j)
+    got = tape.enclose_within(SLO, SHI, mags)
+    natural = tape.ival(SLO, SHI)
+    for row in range(SLO.shape[0]):
+        for x in _rational_points(data, SLO[row], SHI[row]):
+            point = dict(zip(names, x))
+            for r, e in enumerate(roots):
+                v = _exact(e, point, {})
+                assert got[r][0][row] <= v <= got[r][1][row]
+                assert natural[r][0][row] <= got[r][0][row]
+                assert got[r][1][row] <= natural[r][1][row]

@@ -381,9 +381,9 @@ class _Tape:
         both = self.ival(np.concatenate([LO, MID]), np.concatenate([HI, MID]))
         out = [(lo[:N], hi[:N]) for lo, hi in both]
         if self.nonlinear:
-            box, mid = slice(N), slice(N, None)
-            vl, vh, ml, mh = (np.stack([both[r][k][s] for r in self.nonlinear])
-                              for s in (box, mid) for k in (0, 1))
+            nat = [both[r] for r in self.nonlinear]
+            vl, vh = (np.stack([v[k][:N] for v in nat]) for k in (0, 1))
+            ml, mh = (np.stack([v[k][N:] for v in nat]) for k in (0, 1))
             vl, vh = _centered(vl, vh, ml, mh, RADT, mags)
             for i, r in enumerate(self.nonlinear):
                 out[r] = vl[i], vh[i]
@@ -646,18 +646,16 @@ def solve_global(
         smear = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
         mags = []
-        for r, (c, (gl, gh, gmag)) in enumerate(zip(prog.constraints, roots), 1):
+        for c, (gl, gh, gmag), deg in zip(prog.constraints, roots, tape.degs[1:]):
             infeas |= violated(c, gl, gh)
             active = gl < c.rhs if c.relation == ">=" else gh > c.rhs
             smear += gmag * RADT * active[None, :]
-            if tape.degs[r] > 1:
+            if deg > 1:
                 mags.append(gmag)
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
-            sdim = np.argmax((HI - LO).T / scale.T, axis=0)
-        else:
-            sdim = np.argmax(smear, axis=0)
-        return oh, infeas, sdim, mags
+            return oh, infeas, np.argmax((HI - LO).T / scale.T, axis=0), mags
+        return oh, infeas, np.argmax(smear, axis=0), mags
 
     def shave_objective(LO, HI, MAGS):
         """When the objective is a bare variable, chop provably infeasible

@@ -256,8 +256,8 @@ def _centered(vl, vh, ml, mh, RADT, mag):
     [ml, mh] +- sum_j RADT_j mag_j, each term and partial sum rounded up.
     mag is (variables x boxes), or stacks several expressions in front."""
     rad = np.zeros(ml.shape)
-    for term in np.moveaxis(_up(RADT * mag), -2, 0):
-        rad = _up(rad + term)
+    for j, r in enumerate(RADT):
+        rad = _up(rad + _up(r * mag[..., j, :]))
     return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
 
 
@@ -769,8 +769,10 @@ def solve_global(
         kidx = np.flatnonzero(keep)
         if obj_j is not None and kidx.size:
             KHI = HI[kidx]
-            MAGS = (np.stack(mags)[:, :, kidx] if mags
-                    else np.empty((0, prog.n, kidx.size)))
+            MAGS = np.empty((len(mags), prog.n, kidx.size))
+            for i, m in enumerate(mags):
+                MAGS[i] = m[:, kidx]
+            del mags    # before the shave, which sets the peak memory of a solve
             new_ubs = shave_objective(LO[kidx], KHI, MAGS)
             HI[kidx] = KHI
             ubs[kidx] = new_ubs

@@ -10,7 +10,8 @@ as one topologically ordered list of ops, with structurally equal subtrees
 merged, so a shared subexpression is evaluated once per pass. One pass over
 the tape evaluates every expression for a batch of points or boxes in plain
 floats, in intervals, or in intervals with interval gradients, and frees
-each intermediate result after its last use.
+each intermediate result after its last use. Each op's gradient covers
+only the variables its subexpression reads; the others are exactly 0.
 
 The search pops the most promising boxes and splits each where
 |gradient| x half-width is largest over the objective and the constraints
@@ -228,20 +229,6 @@ def _ival_op(kind, a, b=None):
     return _imul(al, ah, bl, bh)
 
 
-def _grad_op(kind, a, b=None):
-    """Interval value and interval gradient (rows = variables) of one op."""
-    if kind == _NEG:
-        return -a[1], -a[0], -a[3], -a[2]
-    vl, vh = _ival_op(kind, a[:2], b[:2])
-    if kind == _MUL:
-        # d(ab) = a db + b da, evaluated in intervals (broadcast over vars)
-        Gl, Gh = _ival_op(_ADD, _imul(a[0], a[1], b[2], b[3]),
-                          _imul(b[0], b[1], a[2], a[3]))
-    else:
-        Gl, Gh = _ival_op(kind, a[2:], b[2:])
-    return vl, vh, Gl, Gh
-
-
 def _mid_rad(LO, HI):
     """Centers of the boxes and, per coordinate, an upper bound on the
     distance from the center to either edge (variables x boxes). The
@@ -261,6 +248,21 @@ def _centered(vl, vh, ml, mh, RADT, mag):
     return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
 
 
+def _place(G, rows, m):
+    """An operand's interval gradient (lo, hi), over the variables it reads,
+    spread over the m variables its op reads, with exact zeros in the rows
+    it does not reach. rows is where its rows land, or None when they are
+    all m."""
+    if rows is None:
+        return G
+    out = []
+    for g in G:
+        z = np.zeros((m,) + g.shape[1:])
+        z[rows] = g
+        out.append(z)
+    return out
+
+
 class _Tape:
     """Expressions compiled to one flat op list, shared subtrees merged.
 
@@ -269,14 +271,20 @@ class _Tape:
     the op of expression r. Each op runs the same float operations as a
     walk over the expression tree, so every result is bit-identical to it.
     A pass frees each value after its last use and reduces each root as
-    soon as it is computed. Constant gradients stay (n, 1) columns; numpy
-    broadcasting gives the same values as full arrays.
+    soon as it is computed.
+
+    support[i] lists the variables op i reads, sorted. Op i's interval
+    gradient covers only those rows: every other partial derivative is
+    exactly 0, so it is neither stored nor rounded. A gradient that does
+    not depend on the box stays one column; numpy broadcasting gives the
+    same values as full rows.
     """
 
     def __init__(self, exprs, idx: dict[str, int], n: int):
         self.ops: list[tuple] = []
         self.degs = [e.degree() for e in exprs]
         self.nonlinear = [r for r, d in enumerate(self.degs) if d > 1]
+        self.n = n
         keys: dict = {}
 
         def visit(e):
@@ -304,17 +312,31 @@ class _Tape:
         self._slots: dict[int, list[int]] = {}
         for r, i in enumerate(self.roots):
             self._slots.setdefault(i, []).append(r)
-        self._zero = np.zeros((n, 1))
-        self._unit = list(np.eye(n)[:, :, None])
+        # _rows[i]: per operand of op i, the rows of support[i] its
+        # gradient lands in, or None when it reads all of them
+        self.support: list[list[int]] = []
+        self._rows: list[tuple] = []
+        for (kind, arg), args in zip(self.ops, operands):
+            if kind == _CONST:
+                s = []
+            elif kind == _VAR:
+                s = [arg]
+            else:
+                s = sorted({v for j in args for v in self.support[j]})
+            self.support.append(s)
+            self._rows.append(tuple(
+                None if len(self.support[j]) == len(s)
+                else [s.index(v) for v in self.support[j]] for j in args))
 
     def _run(self, leaf, op, reduce):
-        """Yields reduce(r, value of root r) for every root r, in order."""
+        """Yields reduce(r, value of root r) for every root r, in order;
+        op(i, kind, *operand values) computes op i."""
         vals: dict = {}
         done: dict = {}
         nxt = 0
         for i, (kind, arg) in enumerate(self.ops):
             if kind >= _ADD:
-                v = op(kind, *[vals[j] for j in arg])
+                v = op(i, kind, *[vals[j] for j in arg])
             else:
                 v = leaf(kind, arg)
             vals[i] = v
@@ -331,7 +353,7 @@ class _Tape:
         return list(self._run(
             lambda kind, arg: (np.full(X.shape[0], arg) if kind == _CONST
                                else X[:, arg]),
-            lambda kind, *args: _PLAIN[kind](*args),
+            lambda i, kind, *args: _PLAIN[kind](*args),
             lambda r, v: v,
         ))
 
@@ -340,7 +362,7 @@ class _Tape:
         return list(self._run(
             lambda kind, arg: (np.full(LO.shape[0], arg),) * 2
             if kind == _CONST else (LO[:, arg], HI[:, arg]),
-            _ival_op,
+            lambda i, kind, *args: _ival_op(kind, *args),
             lambda r, v: v,
         ))
 
@@ -348,26 +370,44 @@ class _Tape:
         """Sound enclosures (lo, hi, |gradient| bound) of the roots over the
         boxes, one root at a time: the natural extension intersected with
         the centered form f(mid) + grad(box) . (box - mid) for nonlinear
-        expressions."""
+        expressions. The |gradient| bound has one row per variable, exactly 0
+        for each variable the root does not read."""
         N = LO.shape[0]
         MID, RADT = _mid_rad(LO, HI)
         centers = self.ival(MID, MID)
-        zero, unit = self._zero, self._unit
+        none, one = np.zeros((0, 1)), np.ones((1, 1))
 
         def leaf(kind, arg):
             if kind == _CONST:
                 c = np.full(N, arg)
-                return c, c, zero, zero
-            return LO[:, arg], HI[:, arg], unit[arg], unit[arg]
+                return c, c, none, none
+            return LO[:, arg], HI[:, arg], one, one
+
+        def grad(i, kind, a, b=None):
+            """Interval value and interval gradient of op i."""
+            if kind == _NEG:
+                return -a[1], -a[0], -a[3], -a[2]
+            vl, vh = _ival_op(kind, a[:2], b[:2])
+            m, (ra, rb) = len(self.support[i]), self._rows[i]
+            if kind == _MUL:
+                # d(ab) = a db + b da, each product over its own variables
+                Gl, Gh = _ival_op(_ADD, _place(_imul(*a[:2], *b[2:]), rb, m),
+                                  _place(_imul(*b[:2], *a[2:]), ra, m))
+            else:
+                Gl, Gh = _ival_op(kind, _place(a[2:], ra, m),
+                                  _place(b[2:], rb, m))
+            return vl, vh, Gl, Gh
 
         def reduce(r, v):
             vl, vh, Gl, Gh = v
-            mag = np.maximum(np.abs(Gl), np.abs(Gh))
+            mag = np.zeros((self.n,) + Gl.shape[1:])
+            mag[self.support[self.roots[r]]] = np.maximum(np.abs(Gl),
+                                                          np.abs(Gh))
             if self.degs[r] > 1:
                 vl, vh = _centered(vl, vh, *centers[r], RADT, mag)
             return vl, vh, mag
 
-        return self._run(leaf, _grad_op, reduce)
+        return self._run(leaf, grad, reduce)
 
     def enclose_within(self, LO, HI, mags):
         """Sound enclosures (lo, hi) of the roots over boxes that lie inside
@@ -381,10 +421,10 @@ class _Tape:
         both = self.ival(np.concatenate([LO, MID]), np.concatenate([HI, MID]))
         out = [(lo[:N], hi[:N]) for lo, hi in both]
         if self.nonlinear:
-            nat = [both[r] for r in self.nonlinear]
-            vl, vh = (np.stack([v[k][:N] for v in nat]) for k in (0, 1))
-            ml, mh = (np.stack([v[k][N:] for v in nat]) for k in (0, 1))
-            vl, vh = _centered(vl, vh, ml, mh, RADT, mags)
+            # (nonlinear roots, lo/hi, boxes then centers)
+            B = np.array([both[r] for r in self.nonlinear])
+            vl, vh = _centered(B[:, 0, :N], B[:, 1, :N], B[:, 0, N:],
+                               B[:, 1, N:], RADT, mags)
             for i, r in enumerate(self.nonlinear):
                 out[r] = vl[i], vh[i]
         return out

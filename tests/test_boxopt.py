@@ -6,6 +6,7 @@ import pytest
 import numpy as np
 
 from delib.averaging import (
+    _k2_seeds,
     _theta3_seeds,
     build_k2_case_program,
     build_theta3_case_program,
@@ -239,6 +240,27 @@ def _solve_theta3_capped(case, branching, budget):
 def test_theta3_search_trajectory_pinned(key):
     res = _solve_theta3_capped(*key)
     assert (res.boxes, res.bound, res.status) == _THETA3_TRAJECTORIES[key]
+
+
+# solve_copeland_k2's tol and seeds on the reduced programs, widest
+# branching at 8,000 boxes; (case, beta) -> (boxes, bound, status). The
+# objective is a polynomial, so its centered form drives every bound.
+_K2_TRAJECTORIES = {
+    (1, 3.0): (8135, 0.29907989562182713, BUDGET_EXHAUSTED),
+    (2, 3.0): (8017, 34.180590312288636, BUDGET_EXHAUSTED),
+    (1, 3.4152): (8141, 0.18740279718985428, BUDGET_EXHAUSTED),
+    (2, 3.4152): (8017, 28.865666972787313, BUDGET_EXHAUSTED),
+}
+
+
+@pytest.mark.parametrize("key", _K2_TRAJECTORIES,
+                         ids=lambda k: f"case{k[0]}-beta{k[1]}")
+def test_k2_search_trajectory_pinned(key):
+    case, beta = key
+    res = solve_global(build_k2_case_program(case, beta, reduced=True),
+                       tol=1e-4, max_boxes=8000, seeds=_k2_seeds(case),
+                       branching="widest")
+    assert (res.boxes, res.bound, res.status) == _K2_TRAJECTORIES[key]
 
 
 def test_objective_shave_makes_no_gradient_pass(monkeypatch):

@@ -4,18 +4,26 @@ Random polynomials of degree <= 4 are built from a pool of subexpressions
 that later ones reuse, both as the same object and as structurally equal
 fresh copies, so the tape merges shared subtrees. The tape is compared
 with a walk over the expression tree, bit for bit, and with exact
-`Fraction` arithmetic.
+`Fraction` arithmetic. On the paper's programs, enclosures are also
+compared with a dense pass that carries every gradient over all variables.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from delib import boxopt
+from delib.averaging import (
+    K2_CASES, THETA3_CASES, build_k2_case_program, build_theta2_program,
+    build_theta3_case_program,
+)
 from delib.boxopt import (
-    _CONST, Add, Const, Mul, Neg, Sub, Var, _dn, _mid_rad, _Tape, _up,
+    _ADD, _CONST, _MUL, _NEG, _VAR, Add, Const, Mul, Neg, Sub, Var, _centered,
+    _dn, _imul, _ival_op, _mid_rad, _Tape, _up,
 )
 
 _coords = st.floats(min_value=-4.0, max_value=4.0,
@@ -171,9 +179,27 @@ def _ival_tree(e, LO, HI, idx):
     return _imul_stacked(al, ah, bl, bh)
 
 
+def _reads(e, idx):
+    """Boolean mask of the variables e reads."""
+    names = set()
+    e.names(names)
+    mask = np.zeros(len(idx), dtype=bool)
+    mask[[idx[name] for name in names]] = True
+    return mask
+
+
+def _only(mask, Gl, Gh):
+    """An interval gradient with exact zeros in the rows mask leaves out."""
+    Gl, Gh = np.array(Gl, dtype=float), np.array(Gh, dtype=float)
+    Gl[~mask] = Gh[~mask] = 0.0
+    return Gl, Gh
+
+
 def _grad_tree(e, LO, HI, idx):
     """Interval value and full (variables x boxes) interval gradient by a
-    walk over the tree."""
+    walk over the tree. A partial derivative is an exact zero outside the
+    variables its node reads, and so is each partial product a db outside
+    the variables of db."""
     n, N = LO.shape[1], LO.shape[0]
     if isinstance(e, Const):
         c, z = np.full(N, e.v), np.zeros((n, N))
@@ -182,18 +208,23 @@ def _grad_tree(e, LO, HI, idx):
         z = np.zeros((n, N))
         z[idx[e.name]] = 1.0
         return LO[:, idx[e.name]], HI[:, idx[e.name]], z, z
+    mask = _reads(e, idx)
     al, ah, Gal, Gah = _grad_tree(e.a, LO, HI, idx)
     if isinstance(e, Neg):
-        return -ah, -al, -Gah, -Gal
+        return (-ah, -al, *_only(mask, -Gah, -Gal))
     bl, bh, Gbl, Gbh = _grad_tree(e.b, LO, HI, idx)
     if isinstance(e, Add):
-        return _dn(al + bl), _up(ah + bh), _dn(Gal + Gbl), _up(Gah + Gbh)
+        return (_dn(al + bl), _up(ah + bh),
+                *_only(mask, _dn(Gal + Gbl), _up(Gah + Gbh)))
     if isinstance(e, Sub):
-        return _dn(al - bh), _up(ah - bl), _dn(Gal - Gbh), _up(Gah - Gbl)
+        return (_dn(al - bh), _up(ah - bl),
+                *_only(mask, _dn(Gal - Gbh), _up(Gah - Gbl)))
     vl, vh = _imul_stacked(al, ah, bl, bh)
-    pl, ph = _imul_stacked(al[None, :], ah[None, :], Gbl, Gbh)
-    ql, qh = _imul_stacked(bl[None, :], bh[None, :], Gal, Gah)
-    return vl, vh, _dn(pl + ql), _up(ph + qh)
+    pl, ph = _only(_reads(e.b, idx),
+                   *_imul_stacked(al[None, :], ah[None, :], Gbl, Gbh))
+    ql, qh = _only(_reads(e.a, idx),
+                   *_imul_stacked(bl[None, :], bh[None, :], Gal, Gah))
+    return vl, vh, *_only(mask, _dn(pl + ql), _up(ph + qh))
 
 
 def _enclose_tree(e, LO, HI, idx):
@@ -244,6 +275,16 @@ def test_enclosures_match_tree_walk_bit_for_bit(prog, data):
     for e, got_n, got_c in zip(exprs, natural, centered):
         assert all(map(_same_bits, got_n, _ival_tree(e, LO, HI, idx)))
         assert all(map(_same_bits, got_c, _enclose_tree(e, LO, HI, idx)))
+
+
+@given(prog=_programs(), data=st.data())
+def test_gradient_bounds_are_zero_for_variables_not_read(prog, data):
+    names, exprs = prog
+    idx = {name: j for j, name in enumerate(names)}
+    LO, HI = data.draw(_boxes(len(names)))
+    for e, (_, _, mag) in zip(exprs, _tape(names, exprs).enclose(LO, HI)):
+        unread = mag[~_reads(e, idx)]
+        assert _same_bits(unread, np.zeros_like(unread))
 
 
 @given(prog=_programs(), data=st.data())
@@ -398,3 +439,102 @@ def test_slab_enclosures_contain_exact_values(data):
                 assert got[r][0][row] <= v <= got[r][1][row]
                 assert natural[r][0][row] <= got[r][0][row]
                 assert got[r][1][row] <= natural[r][1][row]
+
+
+def _dense_enclose(tape, LO, HI):
+    """tape.enclose with every gradient carried over all n variables, as
+    (n, 1) columns or (n, boxes) arrays; rows a node does not read hold 0
+    or the outward rounding of sums and products of 0."""
+    N, n = LO.shape
+    zero, unit = np.zeros((n, 1)), list(np.eye(n)[:, :, None])
+    MID, RADT = _mid_rad(LO, HI)
+    centers = tape.ival(MID, MID)
+    vals = []
+    for kind, arg in tape.ops:
+        if kind == _CONST:
+            c = np.full(N, arg)
+            vals.append((c, c, zero, zero))
+            continue
+        if kind == _VAR:
+            vals.append((LO[:, arg], HI[:, arg], unit[arg], unit[arg]))
+            continue
+        a = vals[arg[0]]
+        if kind == _NEG:
+            vals.append((-a[1], -a[0], -a[3], -a[2]))
+            continue
+        b = vals[arg[1]]
+        vl, vh = _ival_op(kind, a[:2], b[:2])
+        if kind == _MUL:
+            Gl, Gh = _ival_op(_ADD, _imul(*a[:2], *b[2:]),
+                              _imul(*b[:2], *a[2:]))
+        else:
+            Gl, Gh = _ival_op(kind, a[2:], b[2:])
+        vals.append((vl, vh, Gl, Gh))
+    out = []
+    for r, i in enumerate(tape.roots):
+        vl, vh, Gl, Gh = vals[i]
+        mag = np.maximum(np.abs(Gl), np.abs(Gh))
+        if tape.degs[r] > 1:
+            vl, vh = _centered(vl, vh, *centers[r], RADT, mag)
+        out.append((vl, vh, mag))
+    return out
+
+
+def _paper_programs():
+    progs = [build_theta2_program(), build_theta2_program(expanded=False)]
+    progs = [pytest.param(p, id=p.name) for p in progs]
+    for beta in (3.0, 3.4152):
+        for case in K2_CASES:
+            for reduced in (False, True):
+                p = build_k2_case_program(case, beta, reduced=reduced)
+                progs.append(pytest.param(p, id=f"{p.name}-beta{beta}"))
+    for case in THETA3_CASES:
+        p = build_theta3_case_program(case)
+        progs.append(pytest.param(p, id=p.name))
+    return progs
+
+
+def _sub_boxes(prog, count, rng):
+    """Seeded sub-boxes of the program's box, from the full box down to
+    points, with about one side in five of zero width."""
+    width = prog.upper - prog.lower
+    scale = rng.choice([1.0, 0.1, 1e-3, 1e-6, 0.0], size=(count, 1))
+    half = 0.5 * width * scale * rng.random((count, prog.n))
+    half[rng.random((count, prog.n)) < 0.2] = 0.0
+    mid = prog.lower + width * rng.random((count, prog.n))
+    LO = np.clip(mid - half, prog.lower, prog.upper)
+    HI = np.clip(mid + half, prog.lower, prog.upper)
+    LO[0], HI[0] = prog.lower, prog.upper
+    return LO, HI
+
+
+@pytest.mark.parametrize("prog", _paper_programs())
+def test_paper_program_enclosures_match_a_dense_gradient_pass(prog):
+    tape = prog._tape
+    LO, HI = _sub_boxes(prog, 400, np.random.default_rng(11))
+    dense = _dense_enclose(tape, LO, HI)
+    for i, got, want in zip(tape.roots, tape.enclose(LO, HI), dense):
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        reads = np.zeros(prog.n, dtype=bool)
+        reads[tape.support[i]] = True
+        mag, dense_mag = np.broadcast_arrays(got[2], want[2])
+        assert _same_bits(mag[reads], dense_mag[reads])
+        assert _same_bits(mag[~reads], np.zeros_like(mag[~reads]))
+
+
+def test_gradient_pass_rounds_only_the_variables_each_op_reads(monkeypatch):
+    # a dense pass sends 392,276 elements through _up/_dn on these boxes
+    prog = build_theta3_case_program(7)
+    LO, HI = _sub_boxes(prog, 512, np.random.default_rng(5))
+    rounded = []
+
+    def counted(step):
+        def count_and_step(a):
+            rounded.append(np.size(a))
+            return step(a)
+        return count_and_step
+
+    for name in ("_up", "_dn"):
+        monkeypatch.setattr(boxopt, name, counted(getattr(boxopt, name)))
+    list(prog._tape.enclose(LO, HI))
+    assert sum(rounded) <= 0.6 * 392_276

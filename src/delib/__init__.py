@@ -59,8 +59,6 @@ from .boxopt import (
     GlobalOptimum,
     interval_eval,
     solve_global,
-    var,
-    variables,
 )
 from .averaging import (
     THETA2,
@@ -115,7 +113,7 @@ __all__ = [
     "lb1_instance", "line_instance_from_bias_distribution",
     "theta2_extremal_instance",
     "BoxProgram", "Constraint", "GlobalOptimum", "interval_eval",
-    "solve_global", "var", "variables",
+    "solve_global",
     "THETA2", "ThetaResult", "solve_copeland_k2", "solve_theta2",
     "solve_theta3", "theta_lower_bound_closed_form",
     "theta_upper_bound_closed_form",

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .boxopt import (
-    BUDGET_EXHAUSTED,
-    CERTIFIED,
     BoxProgram,
     GlobalOptimum,
     Var,
@@ -271,19 +269,7 @@ def solve_copeland_k2(
         if opt.point is not None:
             point = dict(opt.point)
             point["r"] = 1.0 - point["p"] - point["q"] - point["s"] - point["t"]
-        out.append(
-            GlobalOptimum(
-                point=point,
-                value=opt.value,
-                bound=opt.bound,
-                gap=opt.gap,
-                boxes=opt.boxes,
-                status=opt.status,
-                tol=opt.tol,
-                target_met=opt.target_met,
-                program=f"copeland-k2-case{case}",
-            )
-        )
+        out.append(replace(opt, point=point, program=f"copeland-k2-case{case}"))
     return out[0], out[1]
 
 

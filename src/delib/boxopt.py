@@ -196,14 +196,6 @@ class Neg(Expr):
         return ["neg", self.a.obj()]
 
 
-def var(name: str) -> Var:
-    return Var(name)
-
-
-def variables(*names: str) -> list[Var]:
-    return [Var(n) for n in names]
-
-
 def _imul(al, ah, bl, bh):
     p, q, r, s = al * bl, al * bh, ah * bl, ah * bh
     return (_dn(np.minimum(np.minimum(p, q), np.minimum(r, s))),
@@ -610,6 +602,7 @@ def _split_dim(lo: np.ndarray, hi: np.ndarray) -> int:
 
 
 _SHAVE_FRACS = (0.5, 0.5, 0.25, 0.25, 0.125, 0.125)
+_EPOCH_SIZE = 256     # boxes popped and split per batched pass
 
 
 def solve_global(
@@ -620,7 +613,6 @@ def solve_global(
     seeds=(),
     bound_target: float | None = None,
     feas_tol: float = DEFAULT_FEAS_TOL,
-    epoch_size: int = 256,
     collect_infeasible: int = 0,
     branching: str = "smear",
 ) -> GlobalOptimum:
@@ -764,7 +756,7 @@ def solve_global(
             break
 
         parents = []
-        while heap and len(parents) < epoch_size:
+        while heap and len(parents) < _EPOCH_SIZE:
             nub, _, lo, hi, sdim = heapq.heappop(heap)
             if -nub <= inc_val:
                 continue    # cannot improve; safe to discard

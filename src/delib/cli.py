@@ -42,7 +42,13 @@ from .metric import (
     social_optimum,
     validate,
 )
-from .models import BiasTransform, ModelConfig, exact_pk, monte_carlo_pk
+from .models import (
+    ENUMERATION_BUDGET,
+    BiasTransform,
+    ModelConfig,
+    exact_pk,
+    monte_carlo_pk,
+)
 from .randomchoice import incumbent_feasibility, sweep, zeta
 from .sampling import SampleRunConfig, empirical_distortion_trials
 from .tournament import (
@@ -346,7 +352,8 @@ def _cmd_reproduce_tables(args) -> int:
     t2 = solve_theta2(**({} if args.tol is None else {"tol": args.tol}))
     beta = K2_BETA_THRESHOLD + 1e-3
     k2_kwargs = dict(avg_kwargs)
-    k2_kwargs["max_boxes"] = k2_kwargs.pop("budget", 2_000_000)
+    if args.budget is not None:
+        k2_kwargs["max_boxes"] = k2_kwargs.pop("budget")
     case1, case2 = solve_copeland_k2(beta, **k2_kwargs)
     k2_upper = 1.0 + beta if (case1.bound < 0 and case2.bound < 0) else math.nan
     t3 = solve_theta3(**avg_kwargs)
@@ -451,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: first two declared)")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
                    help="enumeration budget for exact mode")
     p.set_defaults(func=_cmd_pk)
 

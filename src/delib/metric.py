@@ -162,9 +162,10 @@ class MetricInstance:
 def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[str]:
     """Return a list of invariant violations (empty when the instance is valid).
 
-    Checks: at least 2 candidates and 1 location, nonnegative masses summing
-    to 1 within MASS_TOL, a symmetric nonnegative distance table with zero
-    diagonal, and the triangle inequality within `triangle_tol` (absolute).
+    Checks: at least 2 candidates and 1 location, finite nonnegative masses
+    summing to 1 within MASS_TOL, a finite, symmetric, nonnegative distance
+    table with zero diagonal, and the triangle inequality within
+    `triangle_tol` (absolute).
     """
     out: list[str] = []
     if inst.m < 2:
@@ -174,9 +175,12 @@ def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[s
     mass = inst.masses
     if (mass < 0).any():
         out.append("negative location mass")
-    total = math.fsum(mass.tolist()) if mass.size else 0.0
-    if abs(total - 1.0) > MASS_TOL:
-        out.append(f"masses sum to {total!r}, not 1")
+    if not np.isfinite(mass).all():
+        out.append("non-finite location mass")
+    else:
+        total = math.fsum(mass.tolist()) if mass.size else 0.0
+        if abs(total - 1.0) > MASS_TOL:
+            out.append(f"masses sum to {total!r}, not 1")
     D = inst.dist
     if (D < 0).any():
         out.append("negative distance")
@@ -184,6 +188,10 @@ def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[s
         out.append("nonzero self-distance")
     if not (D == D.T).all():
         out.append("asymmetric distance table")
+    if not np.isfinite(D).all():
+        # the triangle scan would subtract inf from inf
+        out.append("non-finite distance")
+        return out
     # d(i,j) <= d(i,k) + d(k,j) for all triples, vectorized over one leg
     for k in range(D.shape[0]):
         slack = D - (D[:, k][:, None] + D[k, :][None, :])
@@ -237,11 +245,18 @@ class BiasDistribution:
         return len(self.values)
 
 
-def normalized_bias(inst: MetricInstance, i: str, c1: str, c2: str) -> float:
-    """(d(i,c1) - d(i,c2)) / d(c1,c2); negative favors c1."""
-    d12 = inst.dist[inst.candidate_index(c1), inst.candidate_index(c2)]
+def candidate_distance(inst: MetricInstance, c1: str, c2: str) -> float:
+    """d(c1,c2), the divisor of every normalized bias for the pair; raises
+    ZeroCandidateDistance when the candidates coincide."""
+    d12 = float(inst.dist[inst.candidate_index(c1), inst.candidate_index(c2)])
     if d12 == 0.0:
         raise ZeroCandidateDistance(f"d({c1},{c2}) = 0")
+    return d12
+
+
+def normalized_bias(inst: MetricInstance, i: str, c1: str, c2: str) -> float:
+    """(d(i,c1) - d(i,c2)) / d(c1,c2); negative favors c1."""
+    d12 = candidate_distance(inst, c1, c2)
     ii = inst.index_of(i)
     b = (inst.dist[ii, inst.candidate_index(c1)] - inst.dist[ii, inst.candidate_index(c2)]) / d12
     return float(min(1.0, max(-1.0, b)))
@@ -258,9 +273,7 @@ def signed_diffs(inst: MetricInstance, c1: str, c2: str) -> np.ndarray:
 
 def bias_distribution(inst: MetricInstance, c1: str, c2: str) -> BiasDistribution:
     """Mass-weighted distribution of normalized biases for the pair (c1, c2)."""
-    d12 = inst.dist[inst.candidate_index(c1), inst.candidate_index(c2)]
-    if d12 == 0.0:
-        raise ZeroCandidateDistance(f"d({c1},{c2}) = 0")
+    d12 = candidate_distance(inst, c1, c2)
     diffs = signed_diffs(inst, c1, c2)
     return BiasDistribution.from_atoms(
         [(float(d) / d12, float(p)) for d, p in zip(diffs, inst.masses)]

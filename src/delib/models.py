@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .metric import MetricInstance, ZeroCandidateDistance, signed_diffs
+from .metric import MetricInstance, candidate_distance, signed_diffs
 
 ENUMERATION_BUDGET = 2_000_000
 _MC_BLOCK = 1 << 16
@@ -63,9 +63,6 @@ class BiasTransform:
         if self.kind == "sqrt":
             return np.sqrt(x)
         return np.power(x, self.exponent)
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def spec(self) -> str:
         if self.kind == "pow":
@@ -148,9 +145,7 @@ class PkResult:
 
 def _atoms(inst: MetricInstance, c1: str, c2: str):
     """Locations merged by exact distance difference d(i,c1)-d(i,c2)."""
-    d12 = float(inst.dist[inst.candidate_index(c1), inst.candidate_index(c2)])
-    if d12 == 0.0:
-        raise ZeroCandidateDistance(f"d({c1},{c2}) = 0")
+    d12 = candidate_distance(inst, c1, c2)
     merged: dict[float, list[float]] = {}
     for d, p in zip(signed_diffs(inst, c1, c2), inst.masses):
         merged.setdefault(float(d), []).append(float(p))

@@ -29,17 +29,14 @@ relying on the float constraint being monotone. On the alpha grid only
 the alphas that are feasible at omega = 1 and not already feasible at
 omega = 0 are bisected.
 
-Summation order is part of the result. numpy sums the k terms of one
-case pairwise when they are contiguous (a single case, or cases in rows)
-but left to right when the cases are the columns of a (k, m >= 2) array.
-A single alpha is solved with its candidates in rows, and the grid keeps
-at least two columns, so every value matches the sequential bisection
-bit for bit.
+Summation order is part of the result, so every constraint evaluation
+puts one case per C-contiguous row and sums its k terms along that row.
+The grid and a single alpha then give the same omega bit for bit.
 
 The inversion group_size_for_epsilon finds the smallest group size whose
-certified distortion beats 1 + epsilon; the Chernoff-style closed form
-4/delta^2 * log(2/delta) with epsilon = C_EPSILON_PER_DELTA * delta is
-reported alongside it by the command-line tools.
+distortion_upper from zeta() beats 1 + epsilon; the Chernoff-style closed
+form 4/delta^2 * log(2/delta) with epsilon = C_EPSILON_PER_DELTA * delta
+is reported alongside it by the command-line tools.
 """
 
 from __future__ import annotations
@@ -57,30 +54,28 @@ from .models import LINEAR, BiasTransform, ModelConfig, exact_pk
 
 INFEASIBLE = math.inf      # sentinel: no omega in [0,1] satisfies the constraint
 C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
-GROUP_SIZE_CAP = 4096      # largest k the doubling search will certify
+GROUP_SIZE_CAP = 4096      # largest k the doubling search will try
 _DIRECT_WEIGHT_MAX_K = 1000   # above this, binomial weights go through lgamma
 _BLOCK_LEVELS = 5             # bisection levels decided per pass of a scalar solve
 
 
 def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
-    """Row l-1 holds C(k,l) alpha^l (1-alpha)^(k-l) for l = 1..k."""
-    a = np.asarray(alphas, dtype=float)
+    """One C-contiguous row per alpha: C(k,l) alpha^l (1-alpha)^(k-l) for
+    l = 1..k along it."""
+    a = np.asarray(alphas, dtype=float)[:, None]
     ell = np.arange(1, k + 1)
     if k <= _DIRECT_WEIGHT_MAX_K:
         comb = np.array([float(math.comb(k, l)) for l in range(1, k + 1)])
         with np.errstate(divide="ignore"):
-            return comb[:, None] * a[None, :] ** ell[:, None] \
-                * (1.0 - a)[None, :] ** (k - ell)[:, None]
+            return comb * a ** ell * (1.0 - a) ** (k - ell)
     logc = np.array([
         math.lgamma(k + 1) - math.lgamma(l + 1) - math.lgamma(k - l + 1)
         for l in ell
     ])
     with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.log(a)
-        l1a = np.log(1.0 - a)
-        t = logc[:, None] + ell[:, None] * la[None, :]
-        # k - l can be 0 only in the last row; keep 0 * (-inf) out of it
-        t[:-1] += (k - ell[:-1])[:, None] * l1a[None, :]
+        t = logc + ell * np.log(a)
+        # k - l can be 0 only in the last column; keep 0 * (-inf) out of it
+        t[:, :-1] += (k - ell[:-1]) * np.log(1.0 - a)
         w = np.exp(t)
     w[~np.isfinite(w)] = 0.0
     return w
@@ -88,24 +83,18 @@ def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
 
 def _lhs_array(
     k: int, weights: np.ndarray, alphas: np.ndarray | float, omegas,
-    g: BiasTransform, beta: float, axis: int = 0,
+    g: BiasTransform, beta: float,
 ) -> np.ndarray:
-    """Relaxed win probability for each (alpha, omega) case.
-
-    The terms l = 1..k run along `axis` of weights: axis 0 puts the cases
-    in columns (summed left to right when there are several), axis 1 puts
-    them in rows (each row summed pairwise, as a single column is).
-    """
-    ell = np.arange(1, k + 1, dtype=float)[:, None]
-    gw = np.asarray(g.apply(np.asarray(omegas, dtype=float)))[None, :]
-    if axis:
-        ell, gw = ell.T, gw.T
+    """Relaxed win probability for each (alpha, omega) case: one case per
+    row, weights being one row per omega or a single row shared by all."""
+    ell = np.arange(1, k + 1, dtype=float)
+    gw = np.asarray(g.apply(np.asarray(omegas, dtype=float)))[:, None]
     num = ell * gw
     den = num + (k - ell)
     # den is 0 only where num is (l = k at g(omega) = 0), and that term is
     # 0; flooring den at the least subnormal leaves every other den as is
     frac = num / np.maximum(den, math.ulp(0.0))
-    return beta * (weights * frac).sum(axis=axis) + (1.0 - beta) * alphas
+    return beta * (weights * frac).sum(axis=1) + (1.0 - beta) * alphas
 
 
 def constraint_lhs(
@@ -142,18 +131,16 @@ def _bisection_steps(tol: float) -> int:
 def _min_omega_array(
     k: int, alphas: np.ndarray, g: BiasTransform, beta: float, tol: float,
 ) -> np.ndarray:
-    """Smallest feasible omega (within tol) per alpha of a grid of two or
-    more; inf where none. Only the undecided alphas are bisected."""
+    """Smallest feasible omega (within tol) per alpha of a grid; inf where
+    none. Only the undecided alphas are bisected."""
     a = np.asarray(alphas, dtype=float)
     w = _binomial_weights(k, a)
     feasible = _lhs_array(k, w, a, np.ones_like(a), g, beta) >= 0.5
     at_zero = _lhs_array(k, w, a, np.zeros_like(a), g, beta) >= 0.5
     out = np.where(feasible, 0.0, INFEASIBLE)
     idx = np.flatnonzero(feasible & ~at_zero)
-    if idx.size == 1:
-        idx = np.repeat(idx, 2)   # a single column would be summed pairwise
     if idx.size:
-        w, a = w[:, idx], a[idx]
+        w, a = w[idx], a[idx]
         lo = np.zeros_like(a)
         hi = np.ones_like(a)
         for _ in range(_bisection_steps(tol)):
@@ -184,14 +171,14 @@ def _min_omega(
     """Smallest feasible omega for one alpha: the bisection of
     _min_omega_array, decided _BLOCK_LEVELS levels per pass. The first
     pass also tests omega = 1 (feasibility) and omega = 0."""
-    w = _binomial_weights(k, np.array([alpha])).T
+    w = _binomial_weights(k, np.array([alpha]))
     lo, hi = 0.0, 1.0
     ends = [1.0, 0.0]
     steps = _bisection_steps(tol)
     while steps > 0:
         levels = min(steps, _BLOCK_LEVELS)
         pts = _subdivide(lo, hi, levels)
-        ok = (_lhs_array(k, w, alpha, ends + pts[1:-1], g, beta, axis=1)
+        ok = (_lhs_array(k, w, alpha, ends + pts[1:-1], g, beta)
               >= 0.5).tolist()
         if ends:
             if not ok[0]:
@@ -234,12 +221,14 @@ def min_feasible_omega(
 
 @dataclass
 class ZetaResult:
-    """Optimum of the relaxed program with derived distortion bounds."""
+    """Best point zeta() found for the relaxed program, with the distortion
+    bounds derived from its value. The search is heuristic, so value is an
+    incumbent, not a rigorous bound on the program's maximum."""
 
     k: int
     g: str
     beta: float
-    value: float               # zeta, the program optimum
+    value: float               # zeta, the incumbent objective
     alpha: float               # argmax
     omega: float
     distortion_upper: float    # ((1+zeta)/(1-zeta))^2
@@ -317,7 +306,8 @@ def zeta(
     k: int, g: BiasTransform = LINEAR, beta: float = 1.0,
     alpha_step: float = 1e-3, omega_tol: float = 1e-9,
 ) -> ZetaResult:
-    """Maximize (1 - alpha) - alpha * omega over the feasible region.
+    """Search for the maximum of (1 - alpha) - alpha * omega over the
+    feasible region.
 
     Grid over alpha at alpha_step, golden-section refinement inside the
     best cell, plus the boundary-alpha candidate. Candidates are compared
@@ -379,7 +369,7 @@ def group_size_for_epsilon(
     epsilon: float, *, alpha_step: float = 1e-3, omega_tol: float = 1e-9,
     cap: int = GROUP_SIZE_CAP,
 ) -> int:
-    """Smallest group size whose certified distortion is at most 1 + epsilon.
+    """Smallest group size whose distortion_upper is at most 1 + epsilon.
 
     Doubling followed by bisection on the linear-transform, full
     opinion-change model (the asymptotic guarantee is specific to it).

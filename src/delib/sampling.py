@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricInstance, distortion_of
+from .metric import MetricInstance, candidate_distance, distortion_of
 from .models import ModelConfig, _block_rng, group_win_probs
 from .tournament import (
     PMatrix,
@@ -122,9 +122,9 @@ def _simulate(config: SampleRunConfig, rng) -> PMatrix:
     def win_probs(draws, i, j):
         """Each sampled group's chance to output candidate i over j."""
         diffs = D[:, i] - D[:, j]
+        d12 = candidate_distance(inst, inst.candidates[i], inst.candidates[j])
         gvals = None
         if model.variant == "random-choice":
-            d12 = inst.distance(inst.candidates[i], inst.candidates[j])
             gvals = model.g.apply(np.abs(diffs / d12))
         return group_win_probs(model, draws, diffs, gvals)
 
@@ -196,14 +196,6 @@ class SampleRunReport:
             },
             indent=2,
         )
-
-    def to_csv(self) -> str:
-        lines = ["trial,winner,distortion,max_error"]
-        for t, (w, d, e) in enumerate(
-            zip(self.winners, self.distortions, self.max_errors)
-        ):
-            lines.append(f"{t},{w},{d!r},{e!r}")
-        return "\n".join(lines) + "\n"
 
 
 def empirical_distortion_trials(config: SampleRunConfig) -> SampleRunReport:

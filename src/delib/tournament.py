@@ -45,14 +45,6 @@ class PMatrix:
     def m(self) -> int:
         return len(self.candidates)
 
-    def to_csv(self) -> str:
-        lines = ["row,col,p"]
-        for i, a in enumerate(self.candidates):
-            for j, b in enumerate(self.candidates):
-                if i != j:
-                    lines.append(f"{a},{b},{self.p[i, j]!r}")
-        return "\n".join(lines) + "\n"
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -120,14 +112,6 @@ class Tournament:
     @property
     def m(self) -> int:
         return len(self.candidates)
-
-    def edge_list(self) -> list[tuple[str, str]]:
-        return [
-            (self.candidates[i], self.candidates[j])
-            for i in range(self.m)
-            for j in range(self.m)
-            if i != j and self.beats[i, j]
-        ]
 
 
 def default_tol(pm: PMatrix) -> float:

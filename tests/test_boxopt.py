@@ -17,18 +17,17 @@ from delib.boxopt import (
     DEFAULT_FEAS_TOL,
     INFEASIBLE,
     BoxProgram,
+    Var,
     _coordinate_ascent,
     _Tape,
     _evaluate,
     interval_eval,
     solve_global,
-    var,
-    variables,
 )
 
 
 def _corner_program(relation):
-    x, y = variables("x", "y")
+    x, y = Var("x"), Var("y")
     return BoxProgram(
         [("x", 0.0, 1.0), ("y", 0.0, 1.0)],
         x + y,
@@ -59,7 +58,7 @@ def test_product_floor_optimum():
 
 
 def test_infeasible_program():
-    x = var("x")
+    x = Var("x")
     prog = BoxProgram([("x", 0.0, 1.0)], x, [(x, ">=", 2.0)])
     res = solve_global(prog, tol=1e-6)
     assert res.status == INFEASIBLE
@@ -114,7 +113,7 @@ def test_seeds_install_incumbent():
 
 
 def test_collect_infeasible_samples():
-    x = var("x")
+    x = Var("x")
     prog = BoxProgram([("x", 0.0, 1.0)], x, [(x, "<=", 0.25)])
     res = solve_global(prog, tol=1e-6, collect_infeasible=5)
     assert 1 <= len(res.infeasible_samples) <= 5
@@ -124,7 +123,7 @@ def test_collect_infeasible_samples():
 
 
 def test_interval_eval_encloses_true_range():
-    x = var("x")
+    x = Var("x")
     lo, hi = interval_eval(x * x - x, {"x": (0.0, 1.0)})
     assert lo <= -0.25 and hi >= 0.0
     lo, hi = interval_eval(x * x, {"x": (-2.0, 3.0)})
@@ -132,7 +131,7 @@ def test_interval_eval_encloses_true_range():
 
 
 def test_interval_eval_point_box_tight():
-    x, y = variables("x", "y")
+    x, y = Var("x"), Var("y")
     expr = x * y + x - 2 * y
     lo, hi = interval_eval(expr, {"x": (0.5, 0.5), "y": (0.25, 0.25)})
     want = 0.5 * 0.25 + 0.5 - 2 * 0.25
@@ -141,25 +140,25 @@ def test_interval_eval_point_box_tight():
 
 
 def test_interval_eval_outward_widening_contains_endpoints():
-    x = var("x")
+    x = Var("x")
     third = 1.0 / 3.0
     lo, hi = interval_eval(x * x, {"x": (third, third)})
     assert lo <= third * third <= hi
 
 
 def test_program_validates_inputs():
-    x = var("x")
+    x = Var("x")
     with pytest.raises(ValueError):
         BoxProgram([("x", 1.0, 0.0)], x)          # empty interval
     with pytest.raises(ValueError):
         BoxProgram([("x", 0.0, 1.0)], x, [(x, "==", 0.5)])
-    y = var("y")
+    y = Var("y")
     with pytest.raises(ValueError, match="undeclared"):
         BoxProgram([("x", 0.0, 1.0)], y)
 
 
 def test_degree_cap_enforced():
-    x = var("x")
+    x = Var("x")
     with pytest.raises(ValueError):
         BoxProgram([("x", 0.0, 1.0)], x ** 5)
 

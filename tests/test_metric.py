@@ -20,6 +20,13 @@ from delib.metric import (
     social_optimum,
     validate,
 )
+from delib.models import ModelConfig, exact_pk
+from delib.sampling import (
+    MATCHING_GROUPS,
+    RANKING_GROUPS,
+    SampleRunConfig,
+    simulate_estimated_pmatrix,
+)
 
 from conftest import random_euclidean_instance
 
@@ -55,6 +62,17 @@ def test_build_rejects_duplicates_and_bad_mass():
         MetricInstance.build(
             ["A", "B"], [("v", 0.4)],
             {("A", "B"): 1.0, ("A", "v"): 1.0, ("B", "v"): 1.0},
+        )
+    # json.loads accepts NaN and Infinity, so instance files can carry them
+    with pytest.raises(InvalidInstance, match="non-finite location mass"):
+        MetricInstance.build(
+            ["A", "B"], [("v", math.nan)],
+            {("A", "B"): 1.0, ("A", "v"): 1.0, ("B", "v"): 1.0},
+        )
+    with pytest.raises(InvalidInstance, match="non-finite distance"):
+        MetricInstance.build(
+            ["A", "B"], [("v", 1.0)],
+            {("A", "B"): math.inf, ("A", "v"): math.inf, ("B", "v"): math.inf},
         )
 
 
@@ -109,6 +127,13 @@ def test_zero_candidate_distance_raises():
         normalized_bias(inst, "v", "A", "B")
     with pytest.raises(ZeroCandidateDistance):
         bias_distribution(inst, "A", "B")
+    with pytest.raises(ZeroCandidateDistance):
+        exact_pk(inst, ModelConfig("averaging", 2), "A", "B")
+    for model, mode in ((ModelConfig("averaging", 2), RANKING_GROUPS),
+                        (ModelConfig("random-choice", 2), MATCHING_GROUPS)):
+        cfg = SampleRunConfig(inst, model, groups=10, mode=mode)
+        with pytest.raises(ZeroCandidateDistance):
+            simulate_estimated_pmatrix(cfg)
 
 
 def test_signed_diffs_match_bias_signs(small_line_instance):

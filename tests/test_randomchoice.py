@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import delib.randomchoice as rc
 from delib.models import LINEAR, SQRT, BiasTransform
@@ -100,8 +100,8 @@ def test_min_feasible_omega_monotone_in_alpha():
 
 # -- bisection replay ------------------------------------------------------------
 #
-# Reference: the bisection one level per pass, with the alphas as columns
-# of one (k, m) array, as every solve ran before the blocked scalar path.
+# Reference: the bisection of one alpha, one level per pass, with its k
+# terms in one (k, 1) column.
 
 
 def _sequential_lhs(k, weights, alphas, omegas, g, beta):
@@ -113,21 +113,25 @@ def _sequential_lhs(k, weights, alphas, omegas, g, beta):
     return beta * (weights * frac).sum(axis=0) + (1.0 - beta) * alphas
 
 
-def _sequential_min_omega(k, alphas, g, beta, tol):
-    a = np.asarray(alphas, dtype=float)
-    w = rc._binomial_weights(k, a)
-    feasible = _sequential_lhs(k, w, a, np.ones_like(a), g, beta) >= 0.5
-    at_zero = _sequential_lhs(k, w, a, np.zeros_like(a), g, beta) >= 0.5
-    lo = np.zeros_like(a)
-    hi = np.ones_like(a)
+def _sequential_min_omega(k, alpha, g, beta, tol):
+    a = np.array([alpha])
+    w = rc._binomial_weights(k, a).T
+
+    def ok(omega):
+        return _sequential_lhs(k, w, a, [omega], g, beta)[0] >= 0.5
+
+    if not ok(1.0):
+        return math.inf
+    if ok(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
     for _ in range(max(1, math.ceil(math.log2(1.0 / tol)))):
         mid = 0.5 * (lo + hi)
-        ok = _sequential_lhs(k, w, a, mid, g, beta) >= 0.5
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    out = np.where(at_zero, 0.0, hi)
-    out[~feasible] = math.inf
-    return out
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _units = st.floats(0.0, 1.0)
@@ -137,39 +141,42 @@ _units = st.floats(0.0, 1.0)
        g=st.sampled_from([LINEAR, SQRT]),
        tol=st.floats(1e-12, 0.3))
 def test_scalar_solve_replays_sequential_bisection(k, alpha, beta, g, tol):
-    want = float(_sequential_min_omega(k, [alpha], g, beta, tol)[0])
+    want = _sequential_min_omega(k, alpha, g, beta, tol)
     got = min_feasible_omega(k, alpha, g, beta, tol)
     assert got.hex() == want.hex()
-
-
-@given(k=st.integers(1, 60), alpha=_units, beta=_units,
-       g=st.sampled_from([LINEAR, SQRT]),
-       omegas=st.lists(_units, min_size=1, max_size=40))
-def test_row_layout_sums_each_case_like_a_single_column(k, alpha, beta, g,
-                                                       omegas):
-    # candidates in rows are summed pairwise, as one (k, 1) column is
-    a = np.array([alpha])
-    w = rc._binomial_weights(k, a)
-    got = rc._lhs_array(k, w.T, a, omegas, g, beta, axis=1)
-    want = [_sequential_lhs(k, w, a, [o], g, beta)[0] for o in omegas]
-    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("alpha_step", [0.7, 0.5, 1e-2])
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 30])
 def test_pruned_grid_replays_sequential_bisection(alpha_step, k):
     # alpha_step 0.7 gives the grid (0, 1) and 0.5 gives (0, 1/2, 1), so
-    # only one or two alphas are left to bisect. At tol 1e-15 the
-    # bisection of alpha = 1/2 ends where the summation order of the
-    # constraint decides the last bit (k = 8, beta = 0.01).
+    # only one or two alphas are left to bisect. At tol 1e-15 the last
+    # bits of omega depend on the order the k terms are summed in
+    # (k = 8, beta = 0.01 at alpha = 1/2).
     n = max(1, round(1.0 / alpha_step))
     grid = np.arange(n + 1) / n
     for g in (LINEAR, SQRT):
         for beta in (1.0, 0.5, 0.01, 0.0):
             for tol in (1e-9, 1e-15):
-                want = _sequential_min_omega(k, grid, g, beta, tol)
+                want = np.array([
+                    _sequential_min_omega(k, a, g, beta, tol) for a in grid
+                ])
                 got = rc._min_omega_array(k, grid, g, beta, tol)
                 assert got.tobytes() == want.tobytes(), (g, beta, tol)
+
+
+@given(k=st.integers(1, 60), alphas=st.lists(_units, min_size=1, max_size=30),
+       beta=_units, g=st.sampled_from([LINEAR, SQRT]),
+       tol=st.floats(1e-15, 0.3))
+@example(k=8, alphas=(np.arange(21) / 20).tolist(), beta=1.0, g=LINEAR,
+         tol=1e-15)
+def test_grid_and_single_alpha_solves_agree(k, alphas, beta, g, tol):
+    # one bracket per alpha: the grid solve and the one-alpha solve return
+    # the same omega to the last bit (at k = 8, alpha = 0.65 they used to
+    # differ by a few ulps)
+    got = rc._min_omega_array(k, np.array(alphas), g, beta, tol)
+    want = [min_feasible_omega(k, a, g, beta, tol) for a in alphas]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("k, g, beta, want", [
@@ -331,15 +338,17 @@ def test_group_size_closed_form():
 
 
 def test_binomial_weights_direct_matches_fractions():
-    # rows are l = 1..k; the l = 0 term never enters the win probability
+    # one row per alpha, columns l = 1..k; the l = 0 term never enters the
+    # win probability
     alphas = np.array([0.125, 0.3, 0.875])
     W = rc._binomial_weights(6, alphas)
-    assert W.shape == (6, 3)
+    assert W.shape == (3, 6)
+    assert W.flags.c_contiguous
     for j, a in enumerate(alphas):
         fa = Fraction(float(a))
         for ell in range(1, 7):
             want = float(math.comb(6, ell) * fa**ell * (1 - fa)**(6 - ell))
-            assert W[ell - 1, j] == pytest.approx(want, abs=1e-15)
+            assert W[j, ell - 1] == pytest.approx(want, abs=1e-15)
 
 
 def test_binomial_weights_lgamma_path_consistent(monkeypatch):
@@ -350,14 +359,15 @@ def test_binomial_weights_lgamma_path_consistent(monkeypatch):
     assert np.max(np.abs(direct - logged)) <= 1e-12
 
 
-def test_binomial_weights_large_k_columns_normalize():
-    # k = 1200 takes the lgamma path; columns sum to 1 - (1-alpha)^k,
+def test_binomial_weights_large_k_rows_normalize():
+    # k = 1200 takes the lgamma path; rows sum to 1 - (1-alpha)^k,
     # indistinguishable from 1 here. Measured drift is ~3e-13.
     alphas = np.array([0.3, 0.7, 0.999])
     W = rc._binomial_weights(1200, alphas)
-    assert W.shape == (1200, 3)
+    assert W.shape == (3, 1200)
+    assert W.flags.c_contiguous
     assert (W >= 0.0).all()
-    assert W.sum(axis=0) == pytest.approx(1.0 - (1.0 - alphas) ** 1200,
+    assert W.sum(axis=1) == pytest.approx(1.0 - (1.0 - alphas) ** 1200,
                                           abs=1e-9)
 
 

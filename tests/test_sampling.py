@@ -166,12 +166,6 @@ def test_report_fields_and_aggregates(small_line_instance):
     assert payload["trials"] == 5
     assert payload["winners"] == report.winners
 
-    lines = report.to_csv().strip().split("\n")
-    assert lines[0] == "trial,winner,distortion,max_error"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == report.winners[0]
-
 
 def test_report_without_epsilon_leaves_fraction_unset(small_line_instance):
     cfg = SampleRunConfig(small_line_instance, _avg(), groups=50, trials=2)

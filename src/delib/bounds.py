@@ -5,9 +5,11 @@ bias theta (or zeta, for the random-choice relaxation) achievable under
 the win constraint. These helpers turn that scalar into distortion bounds,
 and size the group samples needed to estimate pairwise win probabilities.
 
-Sample sizes use explicit two-sided Hoeffding constants, ceil(ln(pairs /
-delta) / (2 eps^2)), with the union bound taken over ordered pairs (the
-safer of the two readings when each direction is estimated separately).
+Sample sizes bound each of the m(m-1)/2 pairwise estimates with the
+two-sided Hoeffding bound 2 exp(-2 N eps^2) and union-bound over the
+pairs, a failure budget of delta / (m(m-1)/2) per pair. That takes
+N = ceil(ln(m(m-1) / delta) / (2 eps^2)) observations of every pair, and
+both sampling modes observe each pair N times.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def _check_sampling_args(m: int, epsilon: float, delta: float) -> None:
 def sample_size_averaging(m: int, epsilon: float, delta: float) -> int:
     """Groups needed so every pairwise estimate is within epsilon, w.p. 1-delta.
 
-    Each ranking group observes all m(m-1) ordered pairs at once, so one
-    Hoeffding bound per pair union-bounded over ordered pairs suffices.
+    Each ranking group observes all m(m-1)/2 pairs at once, so N groups
+    give every pair N observations.
     """
     _check_sampling_args(m, epsilon, delta)
     return math.ceil(math.log(m * (m - 1) / delta) / (HOEFFDING_RATE * epsilon**2))
@@ -73,14 +75,13 @@ def sample_size_random_choice(
 ) -> tuple[int, int, int]:
     """(groups_per_matching, matchings, total) for matching-based sampling.
 
-    A group deliberates only the pairs of one matching, so each matching
-    gets its own group budget with per-pair failure budget delta / m;
-    a round-robin schedule needs m-1 matchings for even m, m for odd m.
+    A group deliberates only the pairs of one matching, and each pair lies
+    in exactly one matching, so each matching needs the N groups of
+    sample_size_averaging, with the same failure budget delta / (m(m-1)/2)
+    per pair. A round-robin schedule has m-1 matchings for even m and m for
+    odd m.
     """
-    _check_sampling_args(m, epsilon, delta)
-    per_matching = math.ceil(
-        math.log(2 * m / delta) / (HOEFFDING_RATE * epsilon**2)
-    )
+    per_matching = sample_size_averaging(m, epsilon, delta)
     matchings = m - 1 if m % 2 == 0 else m
     return per_matching, matchings, per_matching * matchings
 

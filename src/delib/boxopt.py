@@ -31,7 +31,7 @@ objective variable is never a factor of a product whose other factor is
 non-constant (as in every theta_3 case): then no gradient enclosure
 depends on that variable's range.
 
-Feasibility slack: incumbents may violate constraints by up to `feas_tol`
+Feasibility slack: incumbents may violate constraints by up to `FEAS_TOL`
 after exact evaluation, and infeasibility pruning leaves the same slack,
 so a slack-feasible incumbent can never sit inside a pruned box and
 `bound >= value` always holds.
@@ -39,7 +39,6 @@ so a slack-feasible incumbent can never sit inside a pruned box and
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -54,7 +53,7 @@ INFEASIBLE = "Infeasible"
 
 DEFAULT_TOL = 1e-4
 DEFAULT_MAX_BOXES = 10_000_000
-DEFAULT_FEAS_TOL = 1e-12
+FEAS_TOL = 1e-12      # constraint slack of incumbents and of pruning
 MAX_DEGREE = 4
 
 
@@ -75,7 +74,8 @@ def _wrap(x) -> "Expr":
 
 
 class Expr:
-    """Polynomial expression node; supports +, -, *, unary -, and ** n."""
+    """Polynomial expression node; supports +, -, *, unary -, and ** n.
+    Nodes are syntax only: the compiled _Tape reads their structure."""
 
     __slots__ = ()
 
@@ -108,24 +108,12 @@ class Expr:
             out = Mul(out, self)
         return out
 
-    # subclasses: degree(), names(into set), obj(); evaluation goes
-    # through the compiled _Tape
-
 
 class Const(Expr):
     __slots__ = ("v",)
 
     def __init__(self, v: float):
         self.v = float(v)
-
-    def degree(self):
-        return 0
-
-    def names(self, s):
-        pass
-
-    def obj(self):
-        return ["const", self.v]
 
 
 class Var(Expr):
@@ -134,50 +122,24 @@ class Var(Expr):
     def __init__(self, name: str):
         self.name = name
 
-    def degree(self):
-        return 1
-
-    def names(self, s):
-        s.add(self.name)
-
-    def obj(self):
-        return ["var", self.name]
-
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
-    symbol = ""
 
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def degree(self):
-        return max(self.a.degree(), self.b.degree())
-
-    def names(self, s):
-        self.a.names(s)
-        self.b.names(s)
-
-    def obj(self):
-        return [self.symbol, self.a.obj(), self.b.obj()]
-
 
 class Add(_Binary):
     __slots__ = ()
-    symbol = "+"
 
 
 class Sub(_Binary):
     __slots__ = ()
-    symbol = "-"
 
 
 class Mul(_Binary):
     __slots__ = ()
-    symbol = "*"
-
-    def degree(self):
-        return self.a.degree() + self.b.degree()
 
 
 class Neg(Expr):
@@ -185,15 +147,6 @@ class Neg(Expr):
 
     def __init__(self, a):
         self.a = a
-
-    def degree(self):
-        return self.a.degree()
-
-    def names(self, s):
-        self.a.names(s)
-
-    def obj(self):
-        return ["neg", self.a.obj()]
 
 
 def _imul(al, ah, bl, bh):
@@ -207,6 +160,7 @@ _CONST, _VAR, _ADD, _SUB, _MUL, _NEG = range(6)
 _KIND = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _PLAIN = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul,
           _NEG: operator.neg}
+_SYMBOL = {_ADD: "+", _SUB: "-", _MUL: "*", _NEG: "neg"}   # program JSON
 
 
 def _ival_op(kind, a, b=None):
@@ -269,21 +223,27 @@ class _Tape:
     gradient covers only those rows: every other partial derivative is
     exactly 0, so it is neither stored nor rounded. A gradient that does
     not depend on the box stays one column; numpy broadcasting gives the
-    same values as full rows.
+    same values as full rows. degs[r] is the degree of root r, and
+    nonlinear lists the roots of degree above 1.
+
+    names are the variables in index order; compiling rejects any other.
     """
 
-    def __init__(self, exprs, idx: dict[str, int], n: int):
+    def __init__(self, exprs, names):
         self.ops: list[tuple] = []
-        self.degs = [e.degree() for e in exprs]
-        self.nonlinear = [r for r, d in enumerate(self.degs) if d > 1]
-        self.n = n
+        self.names = tuple(names)
+        self.n = len(self.names)
+        idx = {name: j for j, name in enumerate(self.names)}
+        unknown: set[str] = set()
         keys: dict = {}
 
         def visit(e):
             if isinstance(e, Const):
                 key, op = (_CONST, e.v.hex()), (_CONST, e.v)
             elif isinstance(e, Var):
-                key = op = (_VAR, idx[e.name])
+                if e.name not in idx:
+                    unknown.add(e.name)
+                key = op = (_VAR, idx.get(e.name))
             elif isinstance(e, Neg):
                 key = op = (_NEG, (visit(e.a),))
             else:
@@ -295,6 +255,9 @@ class _Tape:
             return i
 
         self.roots = [visit(e) for e in exprs]
+        del visit   # a self-referencing closure: free keys now, not at gc
+        if unknown:
+            raise ValueError(f"undeclared variables: {sorted(unknown)}")
         operands = [arg if kind >= _ADD else () for kind, arg in self.ops]
         last = {j: i for i, args in enumerate(operands) for j in args}
         # values to free after op i: its operands' last use, and op i itself
@@ -308,17 +271,32 @@ class _Tape:
         # gradient lands in, or None when it reads all of them
         self.support: list[list[int]] = []
         self._rows: list[tuple] = []
+        deg: list[int] = []
         for (kind, arg), args in zip(self.ops, operands):
             if kind == _CONST:
-                s = []
+                s, d = [], 0
             elif kind == _VAR:
-                s = [arg]
+                s, d = [arg], 1
             else:
                 s = sorted({v for j in args for v in self.support[j]})
+                d = (sum if kind == _MUL else max)(deg[j] for j in args)
             self.support.append(s)
+            deg.append(d)
             self._rows.append(tuple(
                 None if len(self.support[j]) == len(s)
                 else [s.index(v) for v in self.support[j]] for j in args))
+        self.degs = [deg[i] for i in self.roots]
+        self.nonlinear = [r for r, d in enumerate(self.degs) if d > 1]
+
+    def obj(self, i):
+        """Op i as the nested lists of the program JSON; a merged subtree
+        is written out again at each use, as the expression tree has it."""
+        kind, arg = self.ops[i]
+        if kind == _CONST:
+            return ["const", arg]
+        if kind == _VAR:
+            return ["var", self.names[arg]]
+        return [_SYMBOL[kind], *[self.obj(j) for j in arg]]
 
     def _run(self, leaf, op, reduce):
         """Yields reduce(r, value of root r) for every root r, in order;
@@ -452,25 +430,12 @@ class BoxProgram:
             for c in constraints
         ]
         self.name = name
-        self.idx = {n: i for i, n in enumerate(self.var_names)}
-
-        used: set[str] = set()
-        self.objective.names(used)
-        for c in self.constraints:
-            c.expr.names(used)
-        unknown = used - set(self.var_names)
-        if unknown:
-            raise ValueError(f"undeclared variables: {sorted(unknown)}")
-        for e in [self.objective] + [c.expr for c in self.constraints]:
-            if e.degree() > MAX_DEGREE:
-                raise ValueError(f"expression degree {e.degree()} exceeds {MAX_DEGREE}")
-
-    @functools.cached_property
-    def _tape(self) -> _Tape:
-        """The program compiled on first use: root 0 is the objective, root
-        i + 1 is constraint i."""
-        return _Tape([self.objective] + [c.expr for c in self.constraints],
-                     self.idx, self.n)
+        # root 0 is the objective, root i + 1 is constraint i
+        self._tape = _Tape([self.objective] + [c.expr for c in self.constraints],
+                           self.var_names)
+        for d in self._tape.degs:
+            if d > MAX_DEGREE:
+                raise ValueError(f"expression degree {d} exceeds {MAX_DEGREE}")
 
     @property
     def n(self) -> int:
@@ -480,6 +445,7 @@ class BoxProgram:
         return {n: float(v) for n, v in zip(self.var_names, x)}
 
     def to_json(self) -> str:
+        objective, *exprs = map(self._tape.obj, self._tape.roots)
         return json.dumps(
             {
                 "name": self.name,
@@ -487,10 +453,10 @@ class BoxProgram:
                     [n, lo, hi]
                     for n, lo, hi in zip(self.var_names, self.lower, self.upper)
                 ],
-                "objective": self.objective.obj(),
+                "objective": objective,
                 "constraints": [
-                    {"expr": c.expr.obj(), "relation": c.relation, "rhs": c.rhs}
-                    for c in self.constraints
+                    {"expr": e, "relation": c.relation, "rhs": c.rhs}
+                    for c, e in zip(self.constraints, exprs)
                 ],
             },
             indent=2,
@@ -500,10 +466,9 @@ class BoxProgram:
 def interval_eval(expr: Expr, box: dict[str, tuple[float, float]]):
     """Sound enclosure of expr over the box (dict name -> (lo, hi))."""
     names = sorted(box)
-    idx = {n: i for i, n in enumerate(names)}
     LO = np.array([[box[n][0] for n in names]])
     HI = np.array([[box[n][1] for n in names]])
-    (lo, hi), = _Tape([_wrap(expr)], idx, len(names)).ival(LO, HI)
+    (lo, hi), = _Tape([_wrap(expr)], names).ival(LO, HI)
     return float(lo[0]), float(hi[0])
 
 
@@ -539,15 +504,15 @@ class GlobalOptimum:
         )
 
 
-def _evaluate(prog: BoxProgram, X: np.ndarray, feas_tol: float):
+def _evaluate(prog: BoxProgram, X: np.ndarray):
     """Slack-feasibility and objective value at each row of X, one pass."""
     obj, *gs = prog._tape.plain(X)
     ok = np.ones(X.shape[0], dtype=bool)
     for c, g in zip(prog.constraints, gs):
         if c.relation == ">=":
-            ok &= g >= c.rhs - feas_tol
+            ok &= g >= c.rhs - FEAS_TOL
         else:
-            ok &= g <= c.rhs + feas_tol
+            ok &= g <= c.rhs + FEAS_TOL
     return ok, obj
 
 
@@ -555,7 +520,7 @@ _ASCENT_FRACS = (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8)
 
 
 def _coordinate_ascent(
-    prog: BoxProgram, x: np.ndarray, val: float, feas_tol: float, sweeps: int = 3,
+    prog: BoxProgram, x: np.ndarray, val: float, sweeps: int = 3,
 ) -> tuple[np.ndarray, float]:
     """First-improvement hill climb, one coordinate at a time, inside the
     global box; deterministic. Candidate moves must stay slack-feasible.
@@ -579,7 +544,7 @@ def _coordinate_ascent(
                 continue
             cand = np.repeat(x[None, :], len(moves), axis=0)
             cand[:, j] = moves
-            ok, vals = _evaluate(prog, cand, feas_tol)
+            ok, vals = _evaluate(prog, cand)
             better = np.flatnonzero(ok & (vals > val))
             if better.size:
                 b = better[0]
@@ -612,7 +577,6 @@ def solve_global(
     *,
     seeds=(),
     bound_target: float | None = None,
-    feas_tol: float = DEFAULT_FEAS_TOL,
     collect_infeasible: int = 0,
     branching: str = "smear",
 ) -> GlobalOptimum:
@@ -643,7 +607,7 @@ def solve_global(
             inc_val, inc_x = v, x.copy()
 
     def try_point(x: np.ndarray):
-        ok, v = _evaluate(prog, x[None, :], feas_tol)
+        ok, v = _evaluate(prog, x[None, :])
         if ok[0]:
             consider(x, float(v[0]))
 
@@ -653,16 +617,17 @@ def solve_global(
         else:
             x = np.asarray(s, dtype=float)
         x = np.minimum(prog.upper, np.maximum(prog.lower, x))
-        ok, v = _evaluate(prog, x[None, :], feas_tol)
+        ok, v = _evaluate(prog, x[None, :])
         if ok[0]:
-            consider(*_coordinate_ascent(prog, x, float(v[0]), feas_tol))
+            consider(*_coordinate_ascent(prog, x, float(v[0])))
 
-    obj_j = prog.idx[prog.objective.name] if isinstance(prog.objective, Var) else None
+    kind, arg = tape.ops[tape.roots[0]]
+    obj_j = arg if kind == _VAR else None    # objective is a bare variable
 
     def violated(c, gl, gh):
         if c.relation == ">=":
-            return gh < c.rhs - feas_tol
-        return gl > c.rhs + feas_tol
+            return gh < c.rhs - FEAS_TOL
+        return gl > c.rhs + FEAS_TOL
 
     def child_bounds(LO, HI):
         """Per box: objective upper bound, infeasibility flag, split dim,
@@ -732,26 +697,20 @@ def solve_global(
         heapq.heappush(heap, (-float(ub0[0]), counter, lo0, hi0, int(sdim0[0])))
         counter += 1
 
-    status = None
     target_met = False
     stuck = None            # incumbent value the last ascent started from
     while True:
         global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
         gap = global_ub - inc_val
-        if not heap:
-            if inc_x is None and residual == -math.inf:
-                status = INFEASIBLE
-                break
-            status = CERTIFIED if gap <= tol else BUDGET_EXHAUSTED
-            break
         if inc_x is not None and gap <= tol:
             status = CERTIFIED
             break
-        if bound_target is not None and global_ub <= bound_target:
-            target_met = True
-            status = CERTIFIED if (inc_x is not None and gap <= tol) else BUDGET_EXHAUSTED
+        if not heap:
+            status = (INFEASIBLE if inc_x is None and residual == -math.inf
+                      else BUDGET_EXHAUSTED)
             break
-        if boxes >= max_boxes:
+        target_met = bound_target is not None and global_ub <= bound_target
+        if target_met or boxes >= max_boxes:
             status = BUDGET_EXHAUSTED
             break
 
@@ -810,7 +769,7 @@ def solve_global(
             ubs[kidx] = new_ubs
         mids = 0.5 * (LO[keep] + HI[keep])
         if mids.size:
-            feas, vals = _evaluate(prog, mids, feas_tol)
+            feas, vals = _evaluate(prog, mids)
             if feas.any():
                 vals = vals[feas]
                 b = int(np.argmax(vals))
@@ -826,21 +785,13 @@ def solve_global(
         # repeat the same moves: the incumbent changes only when inc_val rises
         if inc_x is not None and push.size and inc_val != stuck:
             stuck = inc_val
-            consider(*_coordinate_ascent(prog, inc_x, inc_val, feas_tol, sweeps=1))
+            consider(*_coordinate_ascent(prog, inc_x, inc_val, sweeps=1))
 
-    global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
-    if status == INFEASIBLE:
-        return GlobalOptimum(
-            point=None, value=None, bound=-math.inf, gap=math.inf, boxes=boxes,
-            status=INFEASIBLE, tol=tol, target_met=target_met, program=prog.name,
-            infeasible_samples=infeasible_samples,
-        )
-    bound = max(global_ub, inc_val)
     return GlobalOptimum(
-        point=prog.point(inc_x) if inc_x is not None else None,
-        value=inc_val if inc_x is not None else None,
-        bound=bound,
-        gap=bound - inc_val,
+        point=None if inc_x is None else prog.point(inc_x),
+        value=None if inc_x is None else inc_val,
+        bound=global_ub,
+        gap=math.inf if inc_x is None else gap,
         boxes=boxes,
         status=status,
         tol=tol,

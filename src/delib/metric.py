@@ -19,6 +19,14 @@ MASS_TOL = 1e-9        # masses must sum to 1 within this; renormalized if so
 TRIANGLE_TOL = 1e-12   # absolute slack for triangle-inequality checks
 
 
+def _mass_sum(masses: list[float]) -> float:
+    """math.fsum, or the plain float sum where fsum raises (overflow, inf - inf)."""
+    try:
+        return math.fsum(masses)
+    except (OverflowError, ValueError):
+        return sum(masses)
+
+
 class InvalidInstance(ValueError):
     """Raised when an instance fails validation; carries the violation list."""
 
@@ -120,7 +128,7 @@ class MetricInstance:
             )
 
         masses = np.array([m for _, m in locations], dtype=float)
-        total = math.fsum(masses.tolist())
+        total = _mass_sum(masses.tolist())
         if masses.size and abs(total - 1.0) <= MASS_TOL and total > 0:
             masses = masses / total
 
@@ -178,7 +186,7 @@ def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[s
     if not np.isfinite(mass).all():
         out.append("non-finite location mass")
     else:
-        total = math.fsum(mass.tolist()) if mass.size else 0.0
+        total = _mass_sum(mass.tolist())
         if abs(total - 1.0) > MASS_TOL:
             out.append(f"masses sum to {total!r}, not 1")
     D = inst.dist

@@ -34,9 +34,9 @@ puts one case per C-contiguous row and sums its k terms along that row.
 The grid and a single alpha then give the same omega bit for bit.
 
 The inversion group_size_for_epsilon finds the smallest group size whose
-distortion_upper from zeta() beats 1 + epsilon; the Chernoff-style closed
-form 4/delta^2 * log(2/delta) with epsilon = C_EPSILON_PER_DELTA * delta
-is reported alongside it by the command-line tools.
+distortion_upper from zeta() beats 1 + epsilon. group_size_closed_form
+gives the Chernoff-style closed form 4/delta^2 * log(2/delta) with
+epsilon = C_EPSILON_PER_DELTA * delta; no command-line tool reports it.
 """
 
 from __future__ import annotations

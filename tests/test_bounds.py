@@ -61,8 +61,21 @@ def test_sample_size_averaging_values():
 
 
 def test_sample_size_random_choice_values():
-    assert sample_size_random_choice(4, 0.1, 0.1) == (220, 3, 660)
-    assert sample_size_random_choice(5, 0.1, 0.1) == (231, 5, 1155)
+    assert sample_size_random_choice(4, 0.1, 0.1) == (240, 3, 720)
+    assert sample_size_random_choice(5, 0.1, 0.1) == (265, 5, 1325)
+
+
+@pytest.mark.parametrize("sizes", [sample_size_averaging,
+                                   lambda *a: sample_size_random_choice(*a)[0]],
+                         ids=["averaging", "random-choice"])
+def test_sample_sizes_meet_the_union_bound(sizes):
+    # every pair is observed N times; a two-sided Hoeffding bound per pair,
+    # summed over the m(m-1)/2 pairs, must stay within delta
+    for m in range(2, 11):
+        for eps, delta in ((0.1, 0.1), (0.05, 0.1), (0.2, 0.01), (0.1, 0.5)):
+            n = sizes(m, eps, delta)
+            fail = m * (m - 1) / 2 * 2 * math.exp(-HOEFFDING_RATE * n * eps**2)
+            assert fail <= delta, (m, eps, delta, n)
 
 
 def test_sample_size_scales_inverse_square_in_epsilon():
@@ -107,7 +120,7 @@ def test_bound_report_with_sampling_block():
     assert rep.copeland_upper == pytest.approx((1.3 / 0.7) ** 2, abs=1e-12)
     assert rep.samples_averaging == sample_size_averaging(5, 0.1, 0.1)
     assert (rep.samples_per_matching, rep.matchings,
-            rep.samples_random_choice) == (231, 5, 1155)
+            rep.samples_random_choice) == (265, 5, 1325)
 
 
 def test_bound_report_consistency_guard():

@@ -14,7 +14,6 @@ from delib.averaging import (
 from delib.boxopt import (
     BUDGET_EXHAUSTED,
     CERTIFIED,
-    DEFAULT_FEAS_TOL,
     INFEASIBLE,
     BoxProgram,
     Var,
@@ -63,6 +62,16 @@ def test_infeasible_program():
     res = solve_global(prog, tol=1e-6)
     assert res.status == INFEASIBLE
     assert res.point is None and res.value is None
+    assert res.bound == -math.inf and res.gap == math.inf
+
+
+def test_budget_exhausted_without_incumbent():
+    # the root box's midpoint has xy = 1/4 < 1/2; the search stops before
+    # it finds a feasible point
+    res = solve_global(_corner_program(">="), tol=1e-6, max_boxes=1)
+    assert res.status == BUDGET_EXHAUSTED
+    assert res.point is None and res.value is None
+    assert res.bound >= 2.0 and res.gap == math.inf
 
 
 def test_deterministic_across_runs():
@@ -163,7 +172,7 @@ def test_degree_cap_enforced():
         BoxProgram([("x", 0.0, 1.0)], x ** 5)
 
 
-def _ascent_one_move_at_a_time(prog, x, val, feas_tol, sweeps):
+def _ascent_one_move_at_a_time(prog, x, val, sweeps):
     """The coordinate ascent as a scalar loop: each move is checked alone."""
     widths = prog.upper - prog.lower
     x = x.copy()
@@ -180,7 +189,7 @@ def _ascent_one_move_at_a_time(prog, x, val, feas_tol, sweeps):
                         continue
                     cand = x.copy()
                     cand[j] = xj
-                    ok, v = _evaluate(prog, cand[None, :], feas_tol)
+                    ok, v = _evaluate(prog, cand[None, :])
                     if ok[0] and v[0] > val:
                         x, val = cand, float(v[0])
                         improved = True
@@ -202,12 +211,11 @@ def test_batched_ascent_takes_the_scalar_loops_moves(prog):
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = prog.lower + rng.random(prog.n) * (prog.upper - prog.lower)
-        ok, v = _evaluate(prog, x[None, :], DEFAULT_FEAS_TOL)
+        ok, v = _evaluate(prog, x[None, :])
         val = float(v[0]) if ok[0] else -math.inf
         for sweeps in (1, 3):
-            got = _coordinate_ascent(prog, x, val, DEFAULT_FEAS_TOL, sweeps)
-            want = _ascent_one_move_at_a_time(prog, x, val, DEFAULT_FEAS_TOL,
-                                              sweeps)
+            got = _coordinate_ascent(prog, x, val, sweeps)
+            want = _ascent_one_move_at_a_time(prog, x, val, sweeps)
             assert got[1] == want[1]
             assert np.array_equal(got[0], want[0])
 

@@ -58,6 +58,23 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
     assert payload["violations"]
 
 
+@pytest.mark.parametrize("masses", [("1e308", "1e308"),
+                                    ("Infinity", "-Infinity")])
+def test_validate_reports_unsummable_masses(tmp_path, capsys, masses):
+    # json.loads reads 1e308 and Infinity; math.fsum raises on their sums
+    u, v = masses
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"candidates": ["A", "B"], "locations": '
+        f'[{{"id": "u", "mass": {u}}}, {{"id": "v", "mass": {v}}}], '
+        '"distances": {"A|B": 1, "A|u": 1, "B|u": 1, "A|v": 1, "B|v": 1, '
+        '"u|v": 1}}')
+    assert main(["validate", "--instance", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert payload["violations"]
+
+
 def test_pk_exact_payload(line_files, capsys):
     inst, model = line_files
     assert main(["pk", "--instance", inst, "--model", model,

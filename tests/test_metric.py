@@ -74,6 +74,14 @@ def test_build_rejects_duplicates_and_bad_mass():
             ["A", "B"], [("v", 1.0)],
             {("A", "B"): math.inf, ("A", "v"): math.inf, ("B", "v"): math.inf},
         )
+    # math.fsum raises on overflow and on infinities of both signs
+    two = {("A", "B"): 1.0, ("A", "u"): 1.0, ("B", "u"): 1.0,
+           ("A", "v"): 1.0, ("B", "v"): 1.0, ("u", "v"): 1.0}
+    with pytest.raises(InvalidInstance, match="masses sum to inf, not 1"):
+        MetricInstance.build(["A", "B"], [("u", 1e308), ("v", 1e308)], two)
+    with pytest.raises(InvalidInstance, match="non-finite location mass"):
+        MetricInstance.build(["A", "B"], [("u", math.inf), ("v", -math.inf)],
+                             two)
 
 
 def test_mass_renormalized_within_tolerance():

@@ -4,10 +4,13 @@ Random polynomials of degree <= 4 are built from a pool of subexpressions
 that later ones reuse, both as the same object and as structurally equal
 fresh copies, so the tape merges shared subtrees. The tape is compared
 with a walk over the expression tree, bit for bit, and with exact
-`Fraction` arithmetic. On the paper's programs, enclosures are also
-compared with a dense pass that carries every gradient over all variables.
+`Fraction` arithmetic; its degrees, variables and program JSON are
+compared with walks over the tree too. On the paper's programs,
+enclosures are also compared with a dense pass that carries every
+gradient over all variables.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -22,8 +25,8 @@ from delib.averaging import (
     build_theta3_case_program,
 )
 from delib.boxopt import (
-    _ADD, _CONST, _MUL, _NEG, _VAR, Add, Const, Mul, Neg, Sub, Var, _centered,
-    _dn, _imul, _ival_op, _mid_rad, _Tape, _up,
+    _ADD, _CONST, _MUL, _NEG, _VAR, Add, BoxProgram, Const, Mul, Neg, Sub, Var,
+    _centered, _dn, _imul, _ival_op, _mid_rad, _Tape, _up,
 )
 
 _coords = st.floats(min_value=-4.0, max_value=4.0,
@@ -179,12 +182,45 @@ def _ival_tree(e, LO, HI, idx):
     return _imul_stacked(al, ah, bl, bh)
 
 
+def _names(e):
+    """The names of the variables e reads, by a walk over the tree."""
+    if isinstance(e, Const):
+        return set()
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Neg):
+        return _names(e.a)
+    return _names(e.a) | _names(e.b)
+
+
+def _degree(e):
+    """The degree of e, by a walk over the tree."""
+    if isinstance(e, Const):
+        return 0
+    if isinstance(e, Var):
+        return 1
+    if isinstance(e, Neg):
+        return _degree(e.a)
+    a, b = _degree(e.a), _degree(e.b)
+    return a + b if isinstance(e, Mul) else max(a, b)
+
+
+def _json_tree(e):
+    """e as the nested lists of the program JSON, by a walk over the tree."""
+    if isinstance(e, Const):
+        return ["const", e.v]
+    if isinstance(e, Var):
+        return ["var", e.name]
+    if isinstance(e, Neg):
+        return ["neg", _json_tree(e.a)]
+    symbol = {Add: "+", Sub: "-", Mul: "*"}[type(e)]
+    return [symbol, _json_tree(e.a), _json_tree(e.b)]
+
+
 def _reads(e, idx):
     """Boolean mask of the variables e reads."""
-    names = set()
-    e.names(names)
     mask = np.zeros(len(idx), dtype=bool)
-    mask[[idx[name] for name in names]] = True
+    mask[[idx[name] for name in _names(e)]] = True
     return mask
 
 
@@ -232,7 +268,7 @@ def _enclose_tree(e, LO, HI, idx):
     expression and one variable at a time."""
     vl, vh, Gl, Gh = _grad_tree(e, LO, HI, idx)
     mag = np.maximum(np.abs(Gl), np.abs(Gh))
-    if e.degree() > 1:
+    if _degree(e) > 1:
         MID = 0.5 * (LO + HI)
         RADT = np.maximum(_up(HI - MID), _up(MID - LO)).T
         ml, mh = _ival_tree(e, MID, MID, idx)
@@ -255,10 +291,6 @@ def _rational_points(data, lo, hi, count=4):
         yield point
 
 
-def _tape(names, exprs):
-    return _Tape(exprs, {name: j for j, name in enumerate(names)}, len(names))
-
-
 def _same_bits(a, b):
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     return np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -268,7 +300,7 @@ def _same_bits(a, b):
 def test_enclosures_match_tree_walk_bit_for_bit(prog, data):
     names, exprs = prog
     idx = {name: j for j, name in enumerate(names)}
-    tape = _tape(names, exprs)
+    tape = _Tape(exprs, names)
     LO, HI = data.draw(_boxes(len(names)))
     natural = tape.ival(LO, HI)
     centered = list(tape.enclose(LO, HI))
@@ -282,7 +314,7 @@ def test_gradient_bounds_are_zero_for_variables_not_read(prog, data):
     names, exprs = prog
     idx = {name: j for j, name in enumerate(names)}
     LO, HI = data.draw(_boxes(len(names)))
-    for e, (_, _, mag) in zip(exprs, _tape(names, exprs).enclose(LO, HI)):
+    for e, (_, _, mag) in zip(exprs, _Tape(exprs, names).enclose(LO, HI)):
         unread = mag[~_reads(e, idx)]
         assert _same_bits(unread, np.zeros_like(unread))
 
@@ -290,7 +322,7 @@ def test_gradient_bounds_are_zero_for_variables_not_read(prog, data):
 @given(prog=_programs(), data=st.data())
 def test_interval_and_centered_enclosures_contain_exact_values(prog, data):
     names, exprs = prog
-    tape = _tape(names, exprs)
+    tape = _Tape(exprs, names)
     LO, HI = data.draw(_boxes(len(names)))
     natural = tape.ival(LO, HI)
     centered = list(tape.enclose(LO, HI))
@@ -309,7 +341,7 @@ def test_interval_and_centered_enclosures_contain_exact_values(prog, data):
 @given(prog=_programs(), data=st.data())
 def test_plain_values_round_the_exact_value(prog, data):
     names, exprs = prog
-    tape = _tape(names, exprs)
+    tape = _Tape(exprs, names)
     LO, HI = data.draw(_boxes(len(names)))
     X = LO + (HI - LO) * data.draw(st.floats(0.0, 1.0))
     X = np.minimum(HI, np.maximum(LO, X))
@@ -340,14 +372,54 @@ def _copy(e):
 @given(prog=_programs())
 def test_equal_subtrees_compile_to_one_op(prog):
     names, exprs = prog
-    tape = _tape(names, exprs)
+    tape = _Tape(exprs, names)
     # no two ops compute the same thing
     keys = [(kind, arg.hex() if kind == _CONST else arg) for kind, arg in tape.ops]
     assert len(set(keys)) == len(keys)
     # unshared copies of the same expressions merge back into the same ops
-    twice = _tape(names, exprs + [_copy(e) for e in exprs])
+    twice = _Tape(exprs + [_copy(e) for e in exprs], names)
     assert twice.ops == tape.ops
     assert twice.roots == tape.roots + tape.roots
+
+
+@given(prog=_programs())
+def test_degrees_and_variables_match_tree_walk(prog):
+    names, exprs = prog
+    tape = _Tape(exprs, names)
+    assert tape.degs == [_degree(e) for e in exprs]
+    assert tape.nonlinear == [r for r, e in enumerate(exprs) if _degree(e) > 1]
+    for i, e in zip(tape.roots, exprs):
+        assert tape.support[i] == sorted(map(names.index, _names(e)))
+
+
+@given(prog=_programs(), data=st.data())
+def test_undeclared_variables_are_named(prog, data):
+    names, exprs = prog
+    declared = [name for name in names if data.draw(st.booleans())]
+    missing = sorted(set().union(*map(_names, exprs)) - set(declared))
+    if not missing:
+        _Tape(exprs, declared)
+        return
+    with pytest.raises(ValueError) as err:
+        _Tape(exprs, declared)
+    assert str(err.value) == f"undeclared variables: {missing}"
+
+
+@given(prog=_programs(), data=st.data())
+def test_program_json_matches_tree_walk(prog, data):
+    names, (objective, *exprs) = prog
+    box = [(name, *sorted([data.draw(_coords), data.draw(_coords)]))
+           for name in names]
+    cons = [(e, data.draw(st.sampled_from([">=", "<="])), data.draw(_consts))
+            for e in exprs]
+    program = BoxProgram(box, objective, cons, name="random")
+    assert program.to_json() == json.dumps({
+        "name": "random",
+        "vars": [list(v) for v in box],
+        "objective": _json_tree(objective),
+        "constraints": [{"expr": _json_tree(e), "relation": rel, "rhs": rhs}
+                        for e, rel, rhs in cons],
+    }, indent=2)
 
 
 _RADIUS_BOXES = [
@@ -405,7 +477,7 @@ def _slab_program(draw, linear):
 def _slabs(data, names, roots, j):
     """Tape, boxes, their nonlinear |gradient| bounds, and top slabs of
     the boxes in coordinate j."""
-    tape = _tape(names, roots)
+    tape = _Tape(roots, names)
     LO, HI = data.draw(_narrow_boxes(len(names)))
     encl = list(tape.enclose(LO, HI))
     mags = np.array([encl[r][2] for r in tape.nonlinear]).reshape(

@@ -19,7 +19,6 @@ from .metric import (
     instance_to_json,
     load_instance,
     normalized_bias,
-    save_instance,
     social_cost,
     social_optimum,
     validate,
@@ -89,7 +88,6 @@ from .bounds import (
     sample_size_random_choice,
 )
 from .sampling import (
-    NoSamplesForPair,
     SampleRunConfig,
     SampleRunReport,
     empirical_distortion_trials,
@@ -102,7 +100,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiasDistribution", "InvalidInstance", "MetricInstance",
     "bias_distribution", "distortion_of", "instance_from_json",
-    "instance_to_json", "load_instance", "normalized_bias", "save_instance",
+    "instance_to_json", "load_instance", "normalized_bias",
     "social_cost", "social_optimum", "validate",
     "LINEAR", "SQRT", "BiasTransform", "ModelConfig", "PkResult",
     "exact_pk", "monte_carlo_pk",
@@ -123,7 +121,7 @@ __all__ = [
     "BoundReport", "ThetaOutOfRange", "bound_report",
     "copeland_distortion_from_theta", "lower_bounds_from_theta",
     "sample_size_averaging", "sample_size_random_choice",
-    "NoSamplesForPair", "SampleRunConfig", "SampleRunReport",
+    "SampleRunConfig", "SampleRunReport",
     "empirical_distortion_trials", "round_robin_matchings",
     "simulate_estimated_pmatrix",
     "__version__",

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 
+import numpy as np
+
 from .boxopt import (
     BoxProgram,
     GlobalOptimum,
@@ -36,7 +38,7 @@ from .boxopt import (
 )
 from .instances import line_instance_from_bias_distribution
 from .metric import BiasDistribution
-from .models import ModelConfig, exact_pk
+from .models import ModelConfig, exact_pk, group_win_probs
 
 THETA2 = math.sqrt(2.0) - 1.0
 K2_BETA_THRESHOLD = 2.0 + math.sqrt(2.0)
@@ -277,6 +279,7 @@ def solve_copeland_k2(
 # k = 3 case programs
 
 THETA3_CASES = (1, 2, 3, 4, 5, 6, 7, 8)
+CASE3_BOUND_TARGET = 0.2529     # where the hardest case's solve stops
 
 
 def _theta3_prob_expr(case: int, p1, p2, p3):
@@ -414,9 +417,9 @@ def _theta3_seeds(case: int):
     return seeds
 
 
-def _solve_theta3_case(case, tol, budget, case3_bound_target, bound_target):
+def _solve_theta3_case(case, tol, budget, bound_target):
     prog = build_theta3_case_program(case)
-    target = case3_bound_target if case == 3 else bound_target
+    target = CASE3_BOUND_TARGET if case == 3 else bound_target
     return solve_global(
         prog, tol=tol, max_boxes=budget, seeds=_theta3_seeds(case),
         bound_target=target,
@@ -426,14 +429,13 @@ def _solve_theta3_case(case, tol, budget, case3_bound_target, bound_target):
 def solve_theta3(
     tol: float = 5e-4,
     budget: int = 2_000_000,
-    case3_bound_target: float = 0.2529,
     bound_target: float = 0.2504,
     threads: int = 1,
 ) -> ThetaResult:
     """Certified upper bound on theta_3 as the max over the eight cases.
 
     Case 3 is the hardest: its solve stops as soon as the rigorous bound
-    drops to case3_bound_target. Every other case stops the same way at
+    drops to CASE3_BOUND_TARGET. Every other case stops the same way at
     bound_target. At the defaults cases 5 and 6 certify to within tol,
     each from a seeded feasible point at 0.25; the other six end
     BudgetExhausted at their target, each still with a valid bound, so the
@@ -445,8 +447,7 @@ def solve_theta3(
     the longest, is started first.
     """
     run = partial(
-        _solve_theta3_case, tol=tol, budget=budget,
-        case3_bound_target=case3_bound_target, bound_target=bound_target,
+        _solve_theta3_case, tol=tol, budget=budget, bound_target=bound_target,
     )
     per_case = _solve_cases(run, THETA3_CASES, threads, first=(5,))
     value = max(o.bound for o in per_case.values())
@@ -482,44 +483,35 @@ def theta_lower_bound_closed_form(k: int) -> float:
     return 1.0 / (k + 1) if k % 2 else 2.0 / (3.0 * k)
 
 
-def two_point_win_prob(x: float, y: float, p: float, k: int) -> float:
-    """P[sum of k draws <= 0] for D = x w.p. 1-p, y w.p. p.
-
-    Each group is decided on the sign of the exact sum of its draws
-    (`math.fsum` rounds once, which keeps the sign), as in
-    `models.group_win_probs`.
-    """
-    total = 0.0
-    for j in range(k + 1):
-        if math.fsum([y] * j + [x] * (k - j)) <= 0:
-            total += math.comb(k, j) * p**j * (1 - p) ** (k - j)
-    return total
-
-
 def binary_support_search(
     k: int, value_step: float = 0.05, prob_step: float = 0.01,
 ) -> tuple[float, BiasDistribution]:
     """Heuristic grid search over two-point distributions; NOT certified.
 
     Scans D = {x w.p. 1-p, y w.p. p} with x <= 0 <= y on a grid and keeps
-    the best mean subject to the exact win-probability constraint. Useful
-    as a conjecture probe for k >= 4 where no certified solve exists.
+    the first best mean, in (x, y, p) scan order, subject to the exact
+    win-probability constraint: `group_win_probs` decides each cell's k + 1
+    group compositions. Useful as a conjecture probe for k >= 4 where no
+    certified solve exists.
     """
-    best = (-1.0, None)
-    nx = round(1.0 / value_step)
-    np_ = round(1.0 / prob_step)
-    for ix in range(nx + 1):
-        x = -ix * value_step
-        for iy in range(nx + 1):
-            y = iy * value_step
-            for ip in range(np_ + 1):
-                p = ip * prob_step
-                if two_point_win_prob(x, y, p, k) >= 0.5:
-                    mean = (1 - p) * x + p * y
-                    if mean > best[0]:
-                        best = (mean, (x, y, p))
-    mean, atoms = best
-    if atoms is None:
-        raise RuntimeError("no feasible two-point distribution found")
-    x, y, p = atoms
-    return mean, BiasDistribution.from_atoms([(x, 1 - p), (y, p)])
+    nx, n_p = round(1.0 / value_step), round(1.0 / prob_step)
+    steps = np.arange(nx + 1)
+    xs = np.repeat(-steps * value_step, nx + 1)     # cell ix * (nx + 1) + iy
+    ys = np.tile(steps * value_step, nx + 1)
+    # atom 2c is cell c's x, atom 2c + 1 its y; composition j draws y j times
+    members = (2 * np.arange(len(xs))[:, None, None]
+               + (np.arange(k) < np.arange(k + 1)[:, None]))
+    wins = group_win_probs(ModelConfig("averaging", k), members.reshape(-1, k),
+                           np.column_stack([xs, ys]).ravel(), None)
+    probs = [ip * prob_step for ip in range(n_p + 1)]
+    total = np.zeros((len(xs), n_p + 1))
+    for j in range(k + 1):
+        total += wins[j::k + 1, None] * [
+            math.comb(k, j) * p**j * (1 - p) ** (k - j) for p in probs]
+    p = np.array(probs)
+    score = np.where(total >= 0.5, (1 - p) * xs[:, None] + p * ys[:, None],
+                     -np.inf).ravel()
+    best = int(np.argmax(score))      # x = y = 0 always wins: best mean >= 0
+    cell, ip = divmod(best, n_p + 1)
+    x, y, p = float(xs[cell]), float(ys[cell]), probs[ip]
+    return float(score[best]), BiasDistribution.from_atoms([(x, 1 - p), (y, p)])

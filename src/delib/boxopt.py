@@ -584,11 +584,11 @@ def solve_global(
 
     Returns Certified when the global gap is <= tol, BudgetExhausted when
     max_boxes is hit first (bound still rigorous), Infeasible when the whole
-    box is proven infeasible. `seeds` are candidate points (dicts or
-    vectors) used as initial incumbents after an exact feasibility check.
-    `bound_target` stops the search early once the rigorous global upper
-    bound drops to the target; the status then still reflects the gap rule
-    and `target_met` records the early stop.
+    box is proven infeasible. `seeds` are candidate points (dicts from
+    variable name to value) used as initial incumbents after an exact
+    feasibility check. `bound_target` stops the search early once the
+    rigorous global upper bound drops to the target; the status then still
+    reflects the gap rule and `target_met` records the early stop.
 
     `branching` picks the split coordinate: "smear" (default) splits where
     |gradient| x half-width is largest over the objective and the
@@ -612,10 +612,7 @@ def solve_global(
             consider(x, float(v[0]))
 
     for s in seeds:
-        if isinstance(s, dict):
-            x = np.array([float(s[name]) for name in prog.var_names])
-        else:
-            x = np.asarray(s, dtype=float)
+        x = np.array([float(s[name]) for name in prog.var_names])
         x = np.minimum(prog.upper, np.maximum(prog.lower, x))
         ok, v = _evaluate(prog, x[None, :])
         if ok[0]:

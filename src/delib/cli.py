@@ -101,10 +101,24 @@ def _load_model(path: str) -> ModelConfig:
         return ModelConfig.from_json(fh.read())
 
 
-def _pmatrix_mode(args):
-    if args.trials is not None:
-        return MonteCarlo(args.trials, args.seed)
-    return "exact"
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose flags were given: the rest keep the
+    solver's defaults."""
+    return {name: v for name, v in kwargs.items() if v is not None}
+
+
+def _elect(args):
+    """Load the instance and model, build the P-matrix and the tournament,
+    and elect the Copeland winner. Also returns the config that the
+    tournament and pipeline commands report."""
+    inst = load_instance(args.instance)
+    model = _load_model(args.model)
+    mode = "exact" if args.trials is None else MonteCarlo(args.trials, args.seed)
+    pm = build_pmatrix(inst, model, mode)
+    t = build_tournament(pm, args.tol)
+    config = {"instance": args.instance, "model": json.loads(model.to_json()),
+              "trials": args.trials, "tol": t.tol}
+    return inst, pm, t, copeland_winner(t), config
 
 
 def _sweep_rows(results):
@@ -186,13 +200,7 @@ def _cmd_pk(args) -> int:
 
 
 def _cmd_tournament(args) -> int:
-    inst = load_instance(args.instance)
-    model = _load_model(args.model)
-    pm = build_pmatrix(inst, model, _pmatrix_mode(args))
-    t = build_tournament(pm, args.tol)
-    w = copeland_winner(t)
-    config = {"instance": args.instance, "model": json.loads(model.to_json()),
-              "trials": args.trials, "tol": t.tol}
+    _, pm, t, w, config = _elect(args)
     _emit_json(
         "tournament", config,
         {
@@ -209,18 +217,11 @@ def _cmd_tournament(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    inst = load_instance(args.instance)
-    model = _load_model(args.model)
-    pm = build_pmatrix(inst, model, _pmatrix_mode(args))
-    t = build_tournament(pm, args.tol)
-    w = copeland_winner(t)
-    opt = social_optimum(inst)
-    config = {"instance": args.instance, "model": json.loads(model.to_json()),
-              "trials": args.trials, "tol": t.tol}
+    inst, pm, _, w, config = _elect(args)
     _emit_json(
         "pipeline", config,
         {"winner": w, "distortion": distortion_of(inst, w),
-         "social_optimum": opt, "method": pm.method},
+         "social_optimum": social_optimum(inst), "method": pm.method},
         args.out,
         seed=args.seed if args.trials is not None else None,
     )
@@ -230,14 +231,10 @@ def _cmd_pipeline(args) -> int:
 def _cmd_solve_avg(args) -> int:
     config = {"k": args.k, "tol": args.tol, "budget": args.budget}
     if args.k == 2:
-        res = solve_theta2(**({} if args.tol is None else {"tol": args.tol}))
+        res = solve_theta2(**_given(tol=args.tol))
     else:
-        kwargs = {"threads": args.threads}
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-        if args.budget is not None:
-            kwargs["budget"] = args.budget
-        res = solve_theta3(**kwargs)
+        res = solve_theta3(threads=args.threads,
+                           **_given(tol=args.tol, budget=args.budget))
     det_lb, rand_lb = lower_bounds_from_theta(res.value)
     payload = json.loads(res.to_json())
     payload.update({
@@ -252,12 +249,10 @@ def _cmd_solve_avg(args) -> int:
 
 
 def _cmd_solve_copeland_k2(args) -> int:
-    kwargs = {"threads": args.threads}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.budget is not None:
-        kwargs["max_boxes"] = args.budget
-    case1, case2 = solve_copeland_k2(args.beta, **kwargs)
+    case1, case2 = solve_copeland_k2(
+        args.beta, threads=args.threads,
+        **_given(tol=args.tol, max_boxes=args.budget),
+    )
     certified = case1.bound < 0 and case2.bound < 0
     config = {"beta": args.beta, "tol": args.tol, "budget": args.budget}
     _emit_json(
@@ -341,22 +336,18 @@ def _cmd_sample_sim(args) -> int:
 
 def _cmd_reproduce_tables(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    avg_kwargs = {"threads": args.threads}
-    if args.tol is not None:
-        avg_kwargs["tol"] = args.tol
-    if args.budget is not None:
-        avg_kwargs["budget"] = args.budget
     config = {"tol": args.tol, "budget": args.budget}
 
     # averaging model: certified theta bounds and Copeland distortion
-    t2 = solve_theta2(**({} if args.tol is None else {"tol": args.tol}))
+    t2 = solve_theta2(**_given(tol=args.tol))
     beta = K2_BETA_THRESHOLD + 1e-3
-    k2_kwargs = dict(avg_kwargs)
-    if args.budget is not None:
-        k2_kwargs["max_boxes"] = k2_kwargs.pop("budget")
-    case1, case2 = solve_copeland_k2(beta, **k2_kwargs)
+    case1, case2 = solve_copeland_k2(
+        beta, threads=args.threads,
+        **_given(tol=args.tol, max_boxes=args.budget),
+    )
     k2_upper = 1.0 + beta if (case1.bound < 0 and case2.bound < 0) else math.nan
-    t3 = solve_theta3(**avg_kwargs)
+    t3 = solve_theta3(threads=args.threads,
+                      **_given(tol=args.tol, budget=args.budget))
     rows1 = [
         (2, THETA2, t2.value, k2_upper,
          lower_bounds_from_theta(THETA2)[0]),

@@ -13,8 +13,6 @@ from itertools import combinations
 
 from .metric import BiasDistribution, MetricInstance
 
-ALPHA_K2 = 1.0 - math.sqrt(0.5)   # off-candidate mass in the k=2 worst case
-
 DEFAULT_CANDIDATE_BUDGET = 10_000
 
 

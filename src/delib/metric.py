@@ -167,13 +167,13 @@ class MetricInstance:
         return self.dist[rows, ci]
 
 
-def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[str]:
+def validate(inst: MetricInstance) -> list[str]:
     """Return a list of invariant violations (empty when the instance is valid).
 
     Checks: at least 2 candidates and 1 location, finite nonnegative masses
     summing to 1 within MASS_TOL, a finite, symmetric, nonnegative distance
     table with zero diagonal, and the triangle inequality within
-    `triangle_tol` (absolute).
+    TRIANGLE_TOL (absolute).
     """
     out: list[str] = []
     if inst.m < 2:
@@ -203,7 +203,7 @@ def validate(inst: MetricInstance, triangle_tol: float = TRIANGLE_TOL) -> list[s
     # d(i,j) <= d(i,k) + d(k,j) for all triples, vectorized over one leg
     for k in range(D.shape[0]):
         slack = D - (D[:, k][:, None] + D[k, :][None, :])
-        if (slack > triangle_tol).any():
+        if (slack > TRIANGLE_TOL).any():
             i, j = np.unravel_index(np.argmax(slack), slack.shape)
             out.append(
                 "triangle violation: "
@@ -355,11 +355,6 @@ def instance_from_json(text: str) -> MetricInstance:
             raise InvalidInstance([f"conflicting duplicate distance {key!r}"])
         distances[(a, b)] = float(v)
     return MetricInstance.build(candidates, locations, distances)
-
-
-def save_instance(inst: MetricInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(instance_to_json(inst) + "\n")
 
 
 def load_instance(path: str) -> MetricInstance:

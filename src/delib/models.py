@@ -90,7 +90,9 @@ class ModelConfig:
 
     tie_to_first: an Averaging bias sum of exactly 0 counts for the first
     alternative. all_zero_to_first: a random-choice group whose members are
-    all exactly indifferent outputs the first alternative (else a fair coin).
+    all exactly indifferent gives its beta-weighted share to the first
+    alternative (else half of it); the random-dictator term counts such
+    members for neither side, so with beta < 1, p_ij + p_ji can fall below 1.
     """
 
     variant: str                      # "averaging" | "random-choice"
@@ -154,6 +156,14 @@ def _atoms(inst: MetricInstance, c1: str, c2: str):
     return np.array(diffs), np.array(probs), d12
 
 
+def _atom_gvals(model: ModelConfig, diffs, d12: float):
+    """Each atom's g(|d(i,c1) - d(i,c2)| / d(c1,c2)) for random choice;
+    None for averaging, whose decision reads only the diffs."""
+    if model.variant == "averaging":
+        return None
+    return model.g.apply(np.abs(diffs / d12))
+
+
 def _member_sums(values, members) -> np.ndarray:
     """Each row's sum of values over its members, added left to right."""
     total = values[members[:, 0]]
@@ -210,7 +220,7 @@ def exact_pk(
         raise EnumerationBudgetExceeded(
             f"{math.comb(n + k - 1, k)} multisets exceed budget {budget}"
         )
-    gvals = model.g.apply(np.abs(diffs / d12))
+    gvals = _atom_gvals(model, diffs, d12)
     # weight factor comb(rem, c) * p**c for rem members left, c of them here
     comb = np.array([[math.comb(r, c) for c in range(k + 1)]
                      for r in range(k + 1)], dtype=float)
@@ -261,7 +271,7 @@ def monte_carlo_pk(
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)  # guard against rounding at the top
     averaging = model.variant == "averaging"
-    gvals = model.g.apply(np.abs(diffs / d12))
+    gvals = _atom_gvals(model, diffs, d12)
 
     width = k if averaging else k + 1
     successes = 0

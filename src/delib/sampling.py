@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import MetricInstance, candidate_distance, distortion_of
-from .models import ModelConfig, _block_rng, group_win_probs
+from .models import ModelConfig, _atom_gvals, _block_rng, group_win_probs
 from .tournament import (
     PMatrix,
     build_tournament,
@@ -35,14 +35,6 @@ from .tournament import (
 
 RANKING_GROUPS = "RankingGroups"
 MATCHING_GROUPS = "MatchingGroups"
-
-
-class NoSamplesForPair(RuntimeError):
-    """A candidate pair ended up with zero observations.
-
-    Raised instead of defaulting the estimate to 1/2: silent defaults
-    corrupt downstream distortion statistics.
-    """
 
 
 def round_robin_matchings(m: int) -> list[list[tuple[int, int]]]:
@@ -123,9 +115,7 @@ def _simulate(config: SampleRunConfig, rng) -> PMatrix:
         """Each sampled group's chance to output candidate i over j."""
         diffs = D[:, i] - D[:, j]
         d12 = candidate_distance(inst, inst.candidates[i], inst.candidates[j])
-        gvals = None
-        if model.variant == "random-choice":
-            gvals = model.g.apply(np.abs(diffs / d12))
+        gvals = _atom_gvals(model, diffs, d12)
         return group_win_probs(model, draws, diffs, gvals)
 
     if config.mode == RANKING_GROUPS:
@@ -144,14 +134,6 @@ def _simulate(config: SampleRunConfig, rng) -> PMatrix:
                 P[i, j] = np.count_nonzero(wins) / config.groups
     upper = np.triu_indices(m, 1)
     P.T[upper] = 1.0 - P[upper]
-
-    missing = [(i, j) for i in range(m) for j in range(m)
-               if i != j and np.isnan(P[i, j])]
-    if missing:
-        a, b = missing[0]
-        raise NoSamplesForPair(
-            f"pair ({inst.candidates[a]}, {inst.candidates[b]}) has no samples"
-        )
     return PMatrix(
         inst.candidates, P, "MonteCarlo",
         trials=config.groups, seed=config.seed,

@@ -3,8 +3,10 @@
 A full m-way election is decided by running the pairwise deliberation model
 on every ordered candidate pair, thresholding at 1/2 to get a dominance
 digraph, and picking the max-Copeland-score candidate (ties by declaration
-order). The winner is always a member of the uncovered set: it either beats
-any rival directly or beats someone who beats the rival.
+order). When every pair has a beater, the winner is uncovered: it beats any
+rival directly or beats someone who beats the rival. Were some rival j out
+of its reach in two steps, j alone would beat the winner and everything the
+winner beats, and so outscore it.
 """
 
 from __future__ import annotations
@@ -126,23 +128,13 @@ def build_tournament(pm: PMatrix, tol: float | None = None) -> Tournament:
 
 
 def copeland_scores(t: Tournament) -> np.ndarray:
-    """One point per unordered pair: the sole beater takes it, or half each
-    when both orientations beat (half-point ties included). Scores always sum
-    to m(m-1)/2.
+    """One point per unordered pair: the sole beater takes it, and it splits
+    half and half when both orientations beat or neither does. Scores always
+    sum to m(m-1)/2.
     """
-    m = t.m
-    scores = np.zeros(m)
-    for i in range(m):
-        for j in range(i + 1, m):
-            bi, bj = t.beats[i, j], t.beats[j, i]
-            if bi and bj:
-                scores[i] += 0.5
-                scores[j] += 0.5
-            elif bi:
-                scores[i] += 1.0
-            else:
-                scores[j] += 1.0
-    return scores
+    b = t.beats
+    points = np.where(b == b.T, 0.5, b.astype(float))
+    return np.where(np.eye(t.m, dtype=bool), 0.0, points).sum(axis=1)
 
 
 def copeland_winner(t: Tournament) -> str:

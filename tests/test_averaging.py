@@ -18,7 +18,6 @@ from delib.averaging import (
     solve_theta2,
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
-    two_point_win_prob,
     _theta3_seeds,
 )
 from delib.boxopt import CERTIFIED, Add, Const, Mul, Neg, Var, solve_global
@@ -165,34 +164,42 @@ def test_lower_bound_below_upper_bound_for_small_k():
             <= theta_upper_bound_closed_form(k)
 
 
-def test_two_point_win_prob_hand_values():
-    # symmetric two-point, odd k: exactly 1/2
-    assert two_point_win_prob(-1.0, 1.0, 0.5, 3) == pytest.approx(0.5)
-    # all mass at a negative value always wins
-    assert two_point_win_prob(-0.5, 1.0, 0.0, 4) == 1.0
-    # all mass positive never wins
-    assert two_point_win_prob(-0.5, 1.0, 1.0, 4) == 0.0
-    # k=2, y-mass p: wins unless both draws are y, since x + y <= 0
-    p = 0.3
-    assert two_point_win_prob(-1.0, 1.0, p, 2) == pytest.approx(1 - p * p)
+def _two_point_win_prob(x, y, p, k):
+    """Reference: P[sum of k draws <= 0] for D = x w.p. 1-p, y w.p. p,
+    each composition decided on its correctly rounded sum."""
+    total = 0.0
+    for j in range(k + 1):
+        if math.fsum([y] * j + [x] * (k - j)) <= 0:
+            total += math.comb(k, j) * p**j * (1 - p) ** (k - j)
+    return total
 
 
-def test_two_point_win_prob_decides_on_exact_sum():
-    # 3 * 0.7 rounds to 2.0999999999999996, but the exact sum of the group
-    # of three y-draws and one x-draw is +2.2e-16: that group loses, so
-    # only the groups with 0, 1 or 2 y-draws win: (1 + 4 + 6) / 16
-    x, y = -2.0999999999999996, 0.7
-    assert 3 * y + x <= 0
-    assert math.fsum([y, y, y, x]) > 0
-    assert two_point_win_prob(x, y, 0.5, 4) == 0.6875
+def _grid_search_reference(k, value_step=0.05, prob_step=0.01):
+    """The scalar triple loop over (x, y, p) that keeps the first strictly
+    best feasible mean."""
+    best = (-1.0, None)
+    nx = round(1.0 / value_step)
+    n_p = round(1.0 / prob_step)
+    for ix in range(nx + 1):
+        x = -ix * value_step
+        for iy in range(nx + 1):
+            y = iy * value_step
+            for ip in range(n_p + 1):
+                p = ip * prob_step
+                if _two_point_win_prob(x, y, p, k) >= 0.5:
+                    mean = (1 - p) * x + p * y
+                    if mean > best[0]:
+                        best = (mean, (x, y, p))
+    mean, (x, y, p) = best
+    return mean, BiasDistribution.from_atoms([(x, 1 - p), (y, p)])
 
 
-def test_two_point_win_prob_matches_audit():
-    dist = BiasDistribution.from_atoms([(-0.75, 0.6), (0.5, 0.4)])
-    for k in (2, 3, 4):
-        want = audit_distribution(dist, k)
-        got = two_point_win_prob(-0.75, 0.5, 0.4, k)
-        assert got == pytest.approx(want, abs=1e-12)
+@pytest.mark.parametrize("k, steps", [
+    *((k, ()) for k in range(2, 10)),
+    (4, (0.25, 0.05)), (4, (0.1, 0.02)), (3, (0.3, 0.07)), (5, (0.2, 0.03)),
+])
+def test_binary_support_search_matches_scalar_loop(k, steps):
+    assert binary_support_search(k, *steps) == _grid_search_reference(k, *steps)
 
 
 def test_binary_support_search_lower_bounds_theta():

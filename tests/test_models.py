@@ -84,6 +84,11 @@ def test_averaging_outcome_exact_cancellation():
     # zero-sum tie goes to the first alternative
     assert _averaging_winner([0.1, 0.2, -0.2, -0.1]) == 1
     assert _averaging_winner([0.1, 0.2, -0.2, -0.1], tie_to_first=False) == 2
+    # 3 * 0.7 rounds to 2.0999999999999996, so the float sum of this group
+    # is 0, but its exact sum is +2.2e-16: the second alternative wins
+    group = [0.7, 0.7, 0.7, -2.0999999999999996]
+    assert sum(group) == 0.0
+    assert _averaging_winner(group) == 2
 
 
 _diff_values = st.floats(min_value=-1e6, max_value=1e6,
@@ -131,6 +136,9 @@ def test_random_choice_win_prob_unanimous():
 def test_random_choice_all_zero_flag():
     assert _random_choice_win([0.0, 0.0], LINEAR, 1.0, True) == 1.0
     assert _random_choice_win([0.0, 0.0], LINEAR, 1.0, False) == 0.5
+    # the random-dictator term counts an indifferent member for neither side
+    assert _random_choice_win([0.0, 0.0], LINEAR, 0.25, True) == 0.25
+    assert _random_choice_win([0.0, 0.0], LINEAR, 0.25, False) == 0.125
 
 
 def test_random_choice_beta_mixes_fraction_negative():

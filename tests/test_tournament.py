@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from delib.instances import copeland_k2_worst_case
+from delib.metric import MetricInstance
 from delib.models import ModelConfig
 from delib.tournament import (
     EXACT_DOMINANCE_TOL,
@@ -90,6 +91,25 @@ def test_build_tournament_beats_and_half_points():
     scores = copeland_scores(t)
     assert scores == pytest.approx([1.5, 1.0, 0.5])
     assert copeland_winner(t) == "a"
+
+
+def test_copeland_splits_the_point_of_a_pair_neither_side_beats():
+    # A and B at distance 2 with mass 0.3 near each and 0.4 midway. Random
+    # choice with k = 1 and beta = 0 follows the lone member, who counts for
+    # neither side when indifferent: p(A,B) = p(B,A) = 0.3
+    pos = {"A": 0.0, "B": 2.0, "u": 0.5, "v": 1.0, "w": 1.5}
+    names = list(pos)
+    dists = {(a, b): abs(pos[a] - pos[b])
+             for i, a in enumerate(names) for b in names[i + 1:]}
+    inst = MetricInstance.build(
+        ["A", "B"], [("u", 0.3), ("v", 0.4), ("w", 0.3)], dists
+    )
+    pm = build_pmatrix(inst, ModelConfig("random-choice", 1, beta=0.0))
+    assert pm.p[0, 1] == pytest.approx(0.3) and pm.p[1, 0] == pytest.approx(0.3)
+    t = build_tournament(pm)
+    assert not t.beats.any()
+    assert copeland_scores(t).tolist() == [0.5, 0.5]
+    assert copeland_winner(t) == "A"
 
 
 def test_copeland_winner_declaration_order_tiebreak():

@@ -68,6 +68,13 @@ def _solve_cases(run, cases, threads, first=()):
         return {c: futures[c].result() for c in cases}
 
 
+def _solve_case(case, build, seeds, **solve_kw):
+    """Solve one case program from its feasible warm starts; `build` and
+    `seeds` map a case to its program and its seed points. Module level,
+    so a partial of it pickles for `_solve_cases`."""
+    return solve_global(build(case), seeds=seeds(case), **solve_kw)
+
+
 @dataclass
 class ThetaResult:
     """Certified upper bound on theta_k with the best witness found."""
@@ -237,11 +244,6 @@ def _k2_seeds(case: int):
     return corners
 
 
-def _solve_k2_case(case, beta, tol, max_boxes):
-    prog = build_k2_case_program(case, beta, reduced=True)
-    return solve_global(prog, tol=tol, max_boxes=max_boxes, seeds=_k2_seeds(case))
-
-
 def solve_copeland_k2(
     beta_distortion: float,
     tol: float = 1e-4,
@@ -260,9 +262,9 @@ def solve_copeland_k2(
     """
     if beta_distortion <= 0:
         raise ValueError("beta_distortion must be positive")
-    run = partial(
-        _solve_k2_case, beta=beta_distortion, tol=tol, max_boxes=max_boxes
-    )
+    build = partial(build_k2_case_program, beta=beta_distortion, reduced=True)
+    run = partial(_solve_case, build=build, seeds=_k2_seeds, tol=tol,
+                  max_boxes=max_boxes)
     solved = _solve_cases(run, K2_CASES, threads)
     out = []
     for case in K2_CASES:
@@ -279,7 +281,6 @@ def solve_copeland_k2(
 # k = 3 case programs
 
 THETA3_CASES = (1, 2, 3, 4, 5, 6, 7, 8)
-CASE3_BOUND_TARGET = 0.2529     # where the hardest case's solve stops
 
 
 def _theta3_prob_expr(case: int, p1, p2, p3):
@@ -417,15 +418,6 @@ def _theta3_seeds(case: int):
     return seeds
 
 
-def _solve_theta3_case(case, tol, budget, bound_target):
-    prog = build_theta3_case_program(case)
-    target = CASE3_BOUND_TARGET if case == 3 else bound_target
-    return solve_global(
-        prog, tol=tol, max_boxes=budget, seeds=_theta3_seeds(case),
-        bound_target=target,
-    )
-
-
 def solve_theta3(
     tol: float = 5e-4,
     budget: int = 2_000_000,
@@ -434,22 +426,22 @@ def solve_theta3(
 ) -> ThetaResult:
     """Certified upper bound on theta_3 as the max over the eight cases.
 
-    Case 3 is the hardest: its solve stops as soon as the rigorous bound
-    drops to CASE3_BOUND_TARGET. Every other case stops the same way at
-    bound_target. At the defaults cases 5 and 6 certify to within tol,
-    each from a seeded feasible point at 0.25; the other six end
-    BudgetExhausted at their target, each still with a valid bound, so the
-    value is the case-3 bound (about 0.2529), not 0.25 plus the tolerance.
-    The solves take minutes: case 5 alone evaluates about 1.65M boxes.
-    The reported incumbent is the k = 3 lower-bound witness with mean
-    0.25, independently audited by exact enumeration. threads caps
-    concurrent case solves without affecting any reported number; case 5,
-    the longest, is started first.
+    Every case solve stops the same way: certified to within tol, or as
+    soon as its rigorous bound drops to bound_target, or at budget boxes.
+    At the defaults cases 5 and 6 certify to within tol, each from a
+    seeded feasible point at 0.25; the other six end BudgetExhausted at
+    bound_target, each still with a valid bound. The value is then case
+    5's certified bound (about 0.2505), not 0.25 plus the tolerance. The
+    solves take minutes: case 5 evaluates about 1.65M boxes and case 3
+    about 1.49M. The reported incumbent is the k = 3 lower-bound witness
+    with mean 0.25, independently audited by exact enumeration. threads
+    caps concurrent case solves without affecting any reported number;
+    cases 5 and 3, the longest, are started first.
     """
-    run = partial(
-        _solve_theta3_case, tol=tol, budget=budget, bound_target=bound_target,
-    )
-    per_case = _solve_cases(run, THETA3_CASES, threads, first=(5,))
+    run = partial(_solve_case, build=build_theta3_case_program,
+                  seeds=_theta3_seeds, tol=tol, max_boxes=budget,
+                  bound_target=bound_target)
+    per_case = _solve_cases(run, THETA3_CASES, threads, first=(5, 3))
     value = max(o.bound for o in per_case.values())
     incumbent = lb1_k3_distribution()
     best_case = max(

@@ -43,7 +43,7 @@ import heapq
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -485,7 +485,6 @@ class GlobalOptimum:
     tol: float
     target_met: bool = False
     program: str = ""
-    infeasible_samples: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -577,7 +576,6 @@ def solve_global(
     *,
     seeds=(),
     bound_target: float | None = None,
-    collect_infeasible: int = 0,
     branching: str = "smear",
 ) -> GlobalOptimum:
     """Branch-and-bound maximization.
@@ -682,14 +680,10 @@ def solve_global(
     ub0, infeas0, sdim0, _ = child_bounds(lo0[None, :], hi0[None, :])
     boxes = 1
     residual = -math.inf          # sup over dropped undecided slivers
-    infeasible_samples: list = []
     heap: list = []
     counter = 0
 
-    if infeas0[0]:
-        if collect_infeasible:
-            infeasible_samples.append((lo0.tolist(), hi0.tolist()))
-    else:
+    if not infeas0[0]:
         try_point(0.5 * (lo0 + hi0))
         heapq.heappush(heap, (-float(ub0[0]), counter, lo0, hi0, int(sdim0[0])))
         counter += 1
@@ -749,9 +743,6 @@ def solve_global(
         LO[rows[1::2], J[1::2]] = M[1::2]
         boxes += LO.shape[0]
         ubs, infeas, sdims, mags = child_bounds(LO, HI)
-        if collect_infeasible and len(infeasible_samples) < collect_infeasible:
-            for i in np.flatnonzero(infeas)[: collect_infeasible - len(infeasible_samples)]:
-                infeasible_samples.append((LO[i].tolist(), HI[i].tolist()))
 
         keep = ~infeas
         kidx = np.flatnonzero(keep)
@@ -794,5 +785,4 @@ def solve_global(
         tol=tol,
         target_met=target_met,
         program=prog.name,
-        infeasible_samples=infeasible_samples,
     )

@@ -125,14 +125,26 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
+        """Read a model file, rejecting any field of the wrong JSON type
+        (a bool is not a number here) rather than coercing it."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("a model file holds one JSON object")
+
+        def checked(name, types, default=None):
+            v = doc[name] if default is None else doc.get(name, default)
+            if not (isinstance(v, types)
+                    and isinstance(v, bool) == (types is bool)):
+                raise ValueError(f"model field {name!r} has the wrong type: {v!r}")
+            return v
+
         return cls(
             variant=doc["variant"],
-            k=int(doc["k"]),
-            g=BiasTransform.parse(doc.get("g", "linear")),
-            beta=float(doc.get("beta", 1.0)),
-            tie_to_first=bool(doc.get("tie_to_first", True)),
-            all_zero_to_first=bool(doc.get("all_zero_to_first", True)),
+            k=checked("k", int),
+            g=BiasTransform.parse(checked("g", str, "linear")),
+            beta=float(checked("beta", (int, float), 1.0)),
+            tie_to_first=checked("tie_to_first", bool, True),
+            all_zero_to_first=checked("all_zero_to_first", bool, True),
         )
 
 

@@ -399,17 +399,16 @@ def group_size_for_epsilon(
     return hi
 
 
-def group_size_closed_form(
-    epsilon: float, c: float = C_EPSILON_PER_DELTA,
-) -> int:
-    """Chernoff-style group size 4/delta^2 * log(2/delta), epsilon = c*delta.
+def group_size_closed_form(epsilon: float) -> int:
+    """Chernoff-style group size 4/delta^2 * log(2/delta), with
+    epsilon = C_EPSILON_PER_DELTA * delta.
 
     Asymptotic companion to group_size_for_epsilon; clamped below at 1
     (large epsilon makes the formula vacuous).
     """
-    if epsilon <= 0.0 or c <= 0.0:
-        raise ValueError("epsilon and c must be positive")
-    delta = epsilon / c
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    delta = epsilon / C_EPSILON_PER_DELTA
     return math.ceil(max(1.0, 4.0 / delta**2 * math.log(2.0 / delta)))
 
 

@@ -93,10 +93,10 @@ def test_copeland_k2_chain_certifies_past_threshold():
 def test_theta3_certified_bounds_and_incumbent(theta3_run):
     res, elapsed = theta3_run
     assert elapsed < 1800.0
-    assert res.value <= 0.2530
-    for case, opt in res.per_case.items():
+    assert res.value <= 0.2505
+    for opt in res.per_case.values():
         assert opt.status in (CERTIFIED, BUDGET_EXHAUSTED)
-        assert opt.bound <= (0.2530 if case == 3 else 0.2505)
+        assert opt.bound <= 0.2505
     assert res.incumbent_value >= 0.2499
     assert res.audit_pk >= 0.5
     # case 6 certifies from its exactly feasible seed at objective 1/4

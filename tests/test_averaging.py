@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from delib import averaging
 from delib.averaging import (
     AUDIT_TOL,
     K2_BETA_THRESHOLD,
@@ -20,7 +21,16 @@ from delib.averaging import (
     theta_upper_bound_closed_form,
     _theta3_seeds,
 )
-from delib.boxopt import CERTIFIED, Add, Const, Mul, Neg, Var, solve_global
+from delib.boxopt import (
+    CERTIFIED,
+    Add,
+    Const,
+    GlobalOptimum,
+    Mul,
+    Neg,
+    Var,
+    solve_global,
+)
 from delib.metric import BiasDistribution
 
 
@@ -102,6 +112,27 @@ def test_theta3_case_programs_build():
         build_theta3_case_program(0)
     with pytest.raises(ValueError):
         build_theta3_case_program(9)
+
+
+def test_solve_theta3_gives_every_case_one_stopping_rule(monkeypatch):
+    # no real solve: the stub records what each case program is asked for
+    calls = {}
+
+    def stub(prog, **kw):
+        calls[prog.name] = kw
+        return GlobalOptimum(point=None, value=0.25, bound=0.25, gap=0.0,
+                             boxes=1, status=CERTIFIED, tol=kw["tol"],
+                             program=prog.name)
+
+    monkeypatch.setattr(averaging, "solve_global", stub)
+    res = averaging.solve_theta3(threads=1)
+    assert res.value == 0.25
+    assert sorted(calls) == [f"theta3-case{c}-reduced" for c in range(1, 9)]
+    for name, kw in calls.items():
+        case = int(name.removeprefix("theta3-case").removesuffix("-reduced"))
+        assert kw["bound_target"] == 0.2504, name
+        assert (kw["tol"], kw["max_boxes"]) == (5e-4, 2_000_000), name
+        assert kw["seeds"] == _theta3_seeds(case), name
 
 
 def test_lb1_k3_point_is_feasible_for_case5():

@@ -121,16 +121,6 @@ def test_seeds_install_incumbent():
     assert res2.value is None or res2.value < 1.6
 
 
-def test_collect_infeasible_samples():
-    x = Var("x")
-    prog = BoxProgram([("x", 0.0, 1.0)], x, [(x, "<=", 0.25)])
-    res = solve_global(prog, tol=1e-6, collect_infeasible=5)
-    assert 1 <= len(res.infeasible_samples) <= 5
-    for lo, hi in res.infeasible_samples:
-        # spot audit: a pruned box really does violate the constraint
-        assert lo[0] > 0.25
-
-
 def test_interval_eval_encloses_true_range():
     x = Var("x")
     lo, hi = interval_eval(x * x - x, {"x": (0.0, 1.0)})

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from delib.bounds import copeland_distortion_from_theta
 from delib.cli import main
 from delib.metric import instance_to_json, load_instance
 from delib.models import ModelConfig
@@ -84,6 +85,25 @@ def test_pk_exact_payload(line_files, capsys):
     assert payload["method"] == "Exact"
     assert 0.0 <= payload["value"] <= 1.0
     assert payload["stderr"] == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 3.7), ("k", True), ("tie_to_first", "false"), ("k", None),
+    ("g", None),
+])
+def test_pk_rejects_malformed_model_file(tmp_path, capsys, field, value):
+    inst = tmp_path / "lb1.json"
+    assert main(["gen-instance", "--family", "lb1", "--k", "3",
+                 "--out", str(inst)]) == 0
+    doc = json.loads(ModelConfig("averaging", 3).to_json())
+    doc[field] = value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["pk", "--instance", str(inst), "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_pk_monte_carlo_reports_stderr(line_files, capsys):
@@ -175,3 +195,30 @@ def test_sample_sim_writes_json_and_csv(tmp_path, line_files):
     assert lines[0].startswith("# delib ")
     assert lines[1] == "trial,winner,distortion,max_error"
     assert len(lines) == 5
+
+
+def test_reproduce_tables_files_and_thread_invariance(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert main(["reproduce-tables", "--out", str(out), "--budget",
+                     "3000", "--threads", threads]) == 0
+        outs.append(out)
+    sweep_header = "k,zeta,alpha,omega,distortion_upper,det_lb,rand_lb"
+    headers = {"table1.csv": "k,theta_lower,theta_upper,copeland_upper,det_lb",
+               "table2.csv": sweep_header, "fig1.csv": sweep_header,
+               "fig2.csv": sweep_header}
+    for name, header in headers.items():
+        text = (outs[0] / name).read_text()
+        # --threads caps concurrent solves and never changes a number
+        assert text == (outs[1] / name).read_text(), name
+        meta, head, *rows = text.strip().split("\n")
+        assert json.loads(meta.removeprefix("# delib "))["command"] == \
+            "reproduce-tables"
+        assert head == header
+        assert rows
+    rows = (outs[0] / "table1.csv").read_text().strip().split("\n")[2:]
+    k3 = dict(zip(headers["table1.csv"].split(","), rows[1].split(",")))
+    assert k3["k"] == "3"
+    assert float(k3["copeland_upper"]) == copeland_distortion_from_theta(
+        float(k3["theta_upper"]))

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -186,6 +187,29 @@ def test_model_config_round_trip():
                     tie_to_first=False)
     back = ModelConfig.from_json(m.to_json())
     assert back == m
+    assert back.to_json() == m.to_json()
+    # beta may be written as a JSON integer; it is read as the float
+    back = ModelConfig.from_json('{"variant": "averaging", "k": 3, "beta": 1}')
+    assert back.beta == 1.0 and isinstance(back.beta, float)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 3.7), ("k", 3.0), ("k", True), ("k", None), ("k", "3"),
+    ("beta", "0.5"), ("beta", True), ("beta", None),
+    ("g", None), ("g", 2),
+    ("tie_to_first", "false"), ("tie_to_first", 0),
+    ("all_zero_to_first", None),
+])
+def test_model_config_from_json_rejects_malformed_field(field, value):
+    doc = json.loads(ModelConfig("averaging", 3).to_json())
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        ModelConfig.from_json(json.dumps(doc))
+
+
+def test_model_config_from_json_rejects_non_object():
+    with pytest.raises(ValueError):
+        ModelConfig.from_json("[3]")
 
 
 def test_model_config_validation():

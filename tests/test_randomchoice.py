@@ -330,8 +330,6 @@ def test_group_size_validation_and_cap():
 def test_group_size_closed_form():
     assert group_size_closed_form(0.9) == 4
     assert group_size_closed_form(0.1) == 1199
-    # the c parameter rescales epsilon into the tail bound
-    assert group_size_closed_form(0.2, c=2.0) == group_size_closed_form(0.1)
 
 
 # -- binomial weights ------------------------------------------------------------

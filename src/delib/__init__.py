@@ -30,6 +30,7 @@ from .models import (
     ModelConfig,
     PkResult,
     exact_pk,
+    exact_pk_pair,
     monte_carlo_pk,
 )
 from .tournament import (
@@ -40,7 +41,6 @@ from .tournament import (
     build_tournament,
     copeland_scores,
     copeland_winner,
-    exact_pmatrix_reference,
     pipeline_distortion,
     uncovered_check,
 )
@@ -103,10 +103,10 @@ __all__ = [
     "instance_to_json", "load_instance", "normalized_bias",
     "social_cost", "social_optimum", "validate",
     "LINEAR", "SQRT", "BiasTransform", "ModelConfig", "PkResult",
-    "exact_pk", "monte_carlo_pk",
+    "exact_pk", "exact_pk_pair", "monte_carlo_pk",
     "MonteCarlo", "PMatrix", "Tournament", "build_pmatrix",
     "build_tournament", "copeland_scores", "copeland_winner",
-    "exact_pmatrix_reference", "pipeline_distortion", "uncovered_check",
+    "pipeline_distortion", "uncovered_check",
     "FAMILIES", "copeland_k2_worst_case", "example1_instance",
     "lb1_instance", "line_instance_from_bias_distribution",
     "theta2_extremal_instance",

@@ -335,26 +335,46 @@ def instance_to_json(inst: MetricInstance) -> str:
 
 
 def instance_from_json(text: str) -> MetricInstance:
-    """Parse the JSON instance format, rejecting unknown ids, conflicting
-    duplicate pairs, and incomplete distance tables (self-pairs default to 0).
+    """Parse the JSON instance format, rejecting fields of the wrong JSON
+    type rather than coercing them, unknown ids, conflicting duplicate
+    pairs, and incomplete distance tables (self-pairs default to 0).
     """
-    doc = json.loads(text)
-    candidates = list(doc["candidates"])
-    locations = [(loc["id"], float(loc["mass"])) for loc in doc["locations"]]
+    doc = _typed(json.loads(text), dict, "instance")
+    candidates = [_typed(c, str, "candidate")
+                  for c in _typed(doc.get("candidates"), list, "candidates")]
+    locs = [_typed(loc, dict, "location")
+            for loc in _typed(doc.get("locations"), list, "locations")]
+    locations = [(_typed(loc.get("id"), str, "location id"),
+                  _number(loc.get("mass"), "mass")) for loc in locs]
     distances: dict[tuple[str, str], float] = {}
-    for key, v in doc["distances"].items():
+    for key, v in _typed(doc.get("distances"), dict, "distances").items():
         a, _, b = key.partition("|")
         if not b:
             raise InvalidInstance([f"malformed distance key {key!r}"])
+        v = _number(v, f"distance {key!r}")
         if a == b:
-            if float(v) != 0.0:
+            if v != 0.0:
                 raise InvalidInstance([f"nonzero self-distance for {a!r}"])
             continue
         pair = (a, b) if (b, a) not in distances else (b, a)
-        if pair in distances and distances[pair] != float(v):
+        if pair in distances and distances[pair] != v:
             raise InvalidInstance([f"conflicting duplicate distance {key!r}"])
-        distances[(a, b)] = float(v)
+        distances[(a, b)] = v
     return MetricInstance.build(candidates, locations, distances)
+
+
+def _typed(v, types, what: str):
+    """v itself if it has one of the JSON types; a bool is not a number."""
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise InvalidInstance([f"{what} has the wrong JSON type: {v!r}"])
+    return v
+
+
+def _number(v, what: str) -> float:
+    try:
+        return float(_typed(v, (int, float), what))
+    except OverflowError:
+        raise InvalidInstance([f"{what} is out of float range"]) from None
 
 
 def load_instance(path: str) -> MetricInstance:

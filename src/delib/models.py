@@ -13,8 +13,11 @@ Averaging decisions are made on summed distance differences d(i,c1)-d(i,c2)
 (the positive divisor d(c1,c2) cannot change the sign), and each group is
 decided on the exact sum of its members' stored differences, whatever the
 distances. Only the differences themselves are rounded, once each, when
-they are formed from the stored distances. exact_pk enumerates location
-multisets with multinomial weights.
+they are formed from the stored distances.
+
+exact_pk_pair enumerates location multisets with multinomial weights once
+per unordered pair and returns both orientations, each bit for bit what its
+own enumeration would give; exact_pk returns the first.
 """
 
 from __future__ import annotations
@@ -206,25 +209,74 @@ def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
             s[near] = [math.fsum(row) for row in diffs[members[near]].tolist()]
         tie = 1.0 if model.tie_to_first else 0.0
         return np.where(s < 0, 1.0, np.where(s > 0, 0.0, tie))
+    # in place, with the same operations as
+    # beta * where(a + b > 0, a / (a + b), azf) + (1 - beta) * (n_neg / k)
     neg = diffs < 0
-    a = _member_sums(np.where(neg, gvals, 0.0), members)
-    b = _member_sums(np.where(diffs > 0, gvals, 0.0), members)
-    tot = a + b
-    azf = 1.0 if model.all_zero_to_first else 0.5
-    core = np.where(tot > 0, a / np.where(tot > 0, tot, 1.0), azf)
-    n_neg = _member_sums(neg.astype(float), members)
-    return model.beta * core + (1.0 - model.beta) * (n_neg / k)
+    core = _member_sums(np.where(neg, gvals, 0.0), members)
+    tot = _member_sums(np.where(diffs > 0, gvals, 0.0), members)
+    tot += core
+    some = tot > 0
+    np.divide(core, tot, out=core, where=some)
+    core[~some] = 1.0 if model.all_zero_to_first else 0.5
+    core *= model.beta
+    del tot, some
+    share = _member_sums(neg.astype(float), members)
+    share /= k
+    share *= 1.0 - model.beta
+    core += share
+    return core
 
 
-def exact_pk(
+def _join(prefixes, tail, start):
+    """Each sorted prefix row followed by every tail row that starts at or
+    after the prefix's last atom, in order (start[a] is the first tail row
+    whose leading atom is >= a); also the index of each prefix's first row."""
+    sizes = len(tail) - start[prefixes[:, -1]]
+    first = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(prefixes)), sizes)
+    pick = np.arange(len(owner)) + np.repeat(start[prefixes[:, -1]] - first, sizes)
+    return np.hstack([prefixes[owner], tail[pick]]), first
+
+
+def _multiset_rows(n: int, k: int):
+    """Every sorted k-multiset of range(n) as a row of atom indices, in
+    itertools.combinations_with_replacement order, in blocks: a numpy table
+    of the t-multisets, for the longest tail t whose table fits _EXACT_BLOCK
+    rows, joined to itertools prefixes of length k - t a batch at a time."""
+    atoms = np.arange(n)[:, None]
+    tail, start, t = atoms, np.arange(n), 1
+    while t < k and math.comb(n + t, t + 1) <= _EXACT_BLOCK:
+        tail, start = _join(atoms, tail, start)
+        t += 1
+    if t == k:
+        yield tail
+        return
+    prefixes = itertools.combinations_with_replacement(range(n), k - t)
+    row = np.dtype((np.intp, k - t))
+    while True:
+        batch = np.fromiter(itertools.islice(prefixes, _EXACT_BLOCK), row)
+        if not len(batch):
+            return
+        sizes = len(tail) - start[batch[:, -1]]
+        block = (np.cumsum(sizes) - sizes) // _EXACT_BLOCK
+        for part in np.split(batch, np.flatnonzero(np.diff(block)) + 1):
+            yield _join(part, tail, start)[0]
+
+
+def exact_pk_pair(
     inst: MetricInstance, model: ModelConfig, c1: str, c2: str,
     budget: int = ENUMERATION_BUDGET,
-) -> PkResult:
-    """Exact probability that a deliberating group outputs c1 over c2.
+) -> tuple[float, float]:
+    """Exact probabilities that a deliberating group outputs c1 over c2 and
+    c2 over c1, from one enumeration of multisets of bias atoms with
+    multinomial weights.
 
-    Enumerates multisets of bias atoms, as sorted index rows in blocks, with
-    multinomial weights. Raises EnumerationBudgetExceeded when C(n+k-1, k)
-    exceeds the budget.
+    The (c2, c1) enumeration sees atom n-1-a where this one sees a, with its
+    diff negated: each row read backwards against -diffs is one of its rows,
+    and the weight factors taken from the last atom down give its weight bit
+    for bit. Each orientation is summed with one correctly rounded
+    math.fsum, so row order does not matter. Raises
+    EnumerationBudgetExceeded when C(n+k-1, k) exceeds the budget.
     """
     diffs, probs, d12 = _atoms(inst, c1, c2)
     n, k = len(diffs), model.k
@@ -237,27 +289,38 @@ def exact_pk(
     comb = np.array([[math.comb(r, c) for c in range(k + 1)]
                      for r in range(k + 1)], dtype=float)
     powers = np.array([[p**c for c in range(k + 1)] for p in probs])
-    multisets = itertools.combinations_with_replacement(range(n), k)
-    row = np.dtype((np.intp, k))
-
-    def terms():
-        while True:
-            members = np.fromiter(itertools.islice(multisets, _EXACT_BLOCK), row)
-            rows = len(members)
-            if not rows:
-                return
-            cells = (members + n * np.arange(rows)[:, None]).ravel()
-            counts = np.bincount(cells, minlength=rows * n).reshape(rows, n)
+    fwd, rev = [], []
+    for members in _multiset_rows(n, k):
+        rows = len(members)
+        counts = np.bincount(
+            (members + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n
+        ).reshape(rows, n)
+        for terms, groups, values, atoms in (
+            (fwd, members, diffs, range(n)),
+            (rev, members[:, ::-1], -diffs, range(n - 1, -1, -1)),
+        ):
             w = np.ones(rows)
             rem = np.full(rows, k)
-            for atom in range(n):
+            for atom in atoms:
                 c = counts[:, atom]
                 w *= comb[rem, c] * powers[atom, c]
                 rem -= c
-            yield (w * group_win_probs(model, members, diffs, gvals)).tolist()
+            terms.append(w * group_win_probs(model, groups, values, gvals))
+    return tuple(
+        min(1.0, max(0.0, math.fsum(itertools.chain.from_iterable(
+            t.tolist() for t in terms))))
+        for terms in (fwd, rev)
+    )
 
-    p = math.fsum(itertools.chain.from_iterable(terms()))
-    return PkResult(value=min(1.0, max(0.0, p)), stderr=0.0, method="Exact")
+
+def exact_pk(
+    inst: MetricInstance, model: ModelConfig, c1: str, c2: str,
+    budget: int = ENUMERATION_BUDGET,
+) -> PkResult:
+    """Exact probability that a deliberating group outputs c1 over c2: the
+    first value of exact_pk_pair."""
+    p = exact_pk_pair(inst, model, c1, c2, budget)[0]
+    return PkResult(value=p, stderr=0.0, method="Exact")
 
 
 def _block_rng(seed: int, block: int) -> Generator:

@@ -26,12 +26,7 @@ import numpy as np
 
 from .metric import MetricInstance, candidate_distance, distortion_of
 from .models import ModelConfig, _atom_gvals, _block_rng, group_win_probs
-from .tournament import (
-    PMatrix,
-    build_tournament,
-    copeland_winner,
-    exact_pmatrix_reference,
-)
+from .tournament import PMatrix, build_pmatrix, build_tournament, copeland_winner
 
 RANKING_GROUPS = "RankingGroups"
 MATCHING_GROUPS = "MatchingGroups"
@@ -188,7 +183,7 @@ def empirical_distortion_trials(config: SampleRunConfig) -> SampleRunReport:
     distortion; the per-pair error is measured against exact enumeration
     on the orientation (i, j), i < j, that the sampler estimates directly.
     """
-    exact = exact_pmatrix_reference(config.instance, config.model)
+    exact = build_pmatrix(config.instance, config.model, "exact")
     m = exact.m
     report = SampleRunReport(
         config_mode=config.mode, groups=config.groups, trials=config.trials,

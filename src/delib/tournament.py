@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from .metric import MetricInstance, distortion_of
-from .models import ModelConfig, exact_pk, monte_carlo_pk
+from .models import ModelConfig, exact_pk_pair, monte_carlo_pk
 
 EXACT_DOMINANCE_TOL = 1e-9   # exact p values sit on 1/2 only up to rounding
 MC_DOMINANCE_TOL = 0.0
@@ -72,8 +72,9 @@ def build_pmatrix(
 ) -> PMatrix:
     """Fill the pairwise probability table.
 
-    Exact mode evaluates both orientations independently (tie conventions make
-    p[i][j] + p[j][i] exceed 1 by the tie mass). Monte Carlo mode samples one
+    Exact mode runs one enumeration per unordered pair, which gives both
+    orientations exactly (tie conventions make p[i][j] + p[j][i] exceed 1 by
+    the tie mass). Monte Carlo mode samples one
     Bernoulli stream per unordered pair, seeded from (seed, i, j), and mirrors
     p[j][i] = 1 - p[i][j], the way per-pair field estimates are collected.
     """
@@ -81,11 +82,10 @@ def build_pmatrix(
     P = np.full((m, m), np.nan)
     if mode == "exact":
         for i in range(m):
-            for j in range(m):
-                if i != j:
-                    P[i, j] = exact_pk(
-                        inst, model, inst.candidates[i], inst.candidates[j]
-                    ).value
+            for j in range(i + 1, m):
+                P[i, j], P[j, i] = exact_pk_pair(
+                    inst, model, inst.candidates[i], inst.candidates[j]
+                )
         return PMatrix(inst.candidates, P, "Exact")
     if isinstance(mode, MonteCarlo):
         for i in range(m):
@@ -163,7 +163,3 @@ def pipeline_distortion(
     w = copeland_winner(t)
     return w, distortion_of(inst, w)
 
-
-def exact_pmatrix_reference(inst: MetricInstance, model: ModelConfig) -> PMatrix:
-    """Alias used by sampling reports; exact ground truth for error measurement."""
-    return build_pmatrix(inst, model, "exact")

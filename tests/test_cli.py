@@ -106,6 +106,36 @@ def test_pk_rejects_malformed_model_file(tmp_path, capsys, field, value):
     assert "Traceback" not in captured.err
 
 
+def _null_distance(doc):
+    doc["distances"][next(iter(doc["distances"]))] = None
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {**doc, "locations": [{**doc["locations"][0], "mass": None},
+                                      *doc["locations"][1:]]},
+    lambda doc: {**doc, "locations": [{**doc["locations"][0], "mass": "0.5"},
+                                      *doc["locations"][1:]]},
+    lambda doc: {**doc, "candidates": "".join(doc["candidates"])},
+    _null_distance,
+    lambda doc: [1],
+], ids=["null-mass", "string-mass", "string-candidates", "null-distance",
+        "not-an-object"])
+def test_pk_rejects_malformed_instance_file(tmp_path, capsys, edit):
+    inst = tmp_path / "lb1.json"
+    assert main(["gen-instance", "--family", "lb1", "--k", "3",
+                 "--out", str(inst)]) == 0
+    inst.write_text(json.dumps(edit(json.loads(inst.read_text()))))
+    model = tmp_path / "model.json"
+    model.write_text(ModelConfig("averaging", 3).to_json())
+    capsys.readouterr()
+    assert main(["pk", "--instance", str(inst), "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_pk_monte_carlo_reports_stderr(line_files, capsys):
     inst, model = line_files
     assert main(["pk", "--instance", inst, "--model", model,

@@ -215,3 +215,36 @@ def test_json_rejects_conflicting_duplicate():
     doc["distances"]["B|A"] = 3.0
     with pytest.raises(InvalidInstance):
         instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["locations"][0].update(mass=None),
+    lambda doc: doc["locations"][0].update(mass="1.0"),
+    lambda doc: doc["locations"][0].update(mass=True),
+    lambda doc: doc["locations"][0].update(mass=10**400),
+    lambda doc: doc["locations"][0].pop("id"),
+    lambda doc: doc.update(candidates="AB"),
+    lambda doc: doc.update(locations={"v": 1.0}),
+    lambda doc: doc["locations"].append({}),
+    lambda doc: doc.update(distances=[["A|B", 1.0]]),
+    lambda doc: doc["distances"].update({"A|B": None}),
+    lambda doc: doc["distances"].update({"A|B": "1.0"}),
+    lambda doc: doc.pop("candidates"),
+], ids=["null-mass", "string-mass", "bool-mass", "huge-mass", "no-id",
+        "string-candidates", "locations-object", "empty-location",
+        "distances-list",
+        "null-distance", "string-distance", "no-candidates"])
+def test_json_rejects_fields_of_the_wrong_type(edit):
+    doc = json.loads(instance_to_json(MetricInstance.build(
+        ["A", "B"], [("v", 1.0)],
+        {("A", "B"): 1.0, ("A", "v"): 1.0, ("B", "v"): 1.0},
+    )))
+    edit(doc)
+    with pytest.raises(InvalidInstance):
+        instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", '"A"', "3"])
+def test_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(InvalidInstance):
+        instance_from_json(text)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delib.metric import BiasDistribution, MetricInstance, bias_distribution
+from delib import models
 from delib.models import (
     LINEAR,
     SQRT,
     BiasTransform,
+    EnumerationBudgetExceeded,
     ModelConfig,
     exact_pk,
+    exact_pk_pair,
     group_win_probs,
     monte_carlo_pk,
 )
@@ -266,6 +270,32 @@ def test_exact_pk_random_choice_matches_manual():
     want = 0.6 * 0.6 + 2 * (0.6 * 0.4) * 0.2
     got = exact_pk(inst, model, "W", "X")
     assert got.value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (3, 1), (12, 6), (6, 9),
+                                  (30, 3)])
+def test_multiset_rows_are_combinations_with_replacement(n, k):
+    blocks = list(models._multiset_rows(n, k))
+    want = list(itertools.combinations_with_replacement(range(n), k))
+    assert np.concatenate(blocks).tolist() == [list(r) for r in want]
+    assert all(len(b) < 2 * models._EXACT_BLOCK for b in blocks)
+    # (12, 6) and (30, 3) outgrow one table and join prefixes to it
+    assert (len(blocks) > 1) == (len(want) > models._EXACT_BLOCK)
+
+
+@pytest.mark.parametrize("variant", ["averaging", "random-choice"])
+def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
+    def enumerate_rows(n, k):
+        raise AssertionError("enumerated past the budget")
+        yield
+
+    monkeypatch.setattr(models, "_multiset_rows", enumerate_rows)
+    inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
+    model = ModelConfig(variant, k=4)   # C(9, 4) = 126 multisets
+    with pytest.raises(EnumerationBudgetExceeded):
+        exact_pk_pair(inst, model, "c0", "c1", budget=125)
+    with pytest.raises(EnumerationBudgetExceeded):
+        exact_pk(inst, model, "c0", "c1", budget=125)
 
 
 def test_monte_carlo_pk_deterministic_and_close():

@@ -18,7 +18,7 @@ from delib.sampling import (
     round_robin_matchings,
     simulate_estimated_pmatrix,
 )
-from delib.tournament import exact_pmatrix_reference
+from delib.tournament import build_pmatrix
 
 from conftest import random_euclidean_instance
 
@@ -97,7 +97,7 @@ def test_trial_zero_matches_single_simulation(small_line_instance):
     )
     report = empirical_distortion_trials(cfg)
     pm = simulate_estimated_pmatrix(cfg)
-    exact = exact_pmatrix_reference(cfg.instance, cfg.model)
+    exact = build_pmatrix(cfg.instance, cfg.model, "exact")
     m = exact.m
     err0 = max(
         abs(pm.p[i, j] - exact.p[i, j])
@@ -112,7 +112,7 @@ def test_ranking_estimator_converges():
     model = _avg(k=3)
     cfg = SampleRunConfig(inst, model, groups=100_000, seed=2)
     pm = simulate_estimated_pmatrix(cfg)
-    exact = exact_pmatrix_reference(inst, model)
+    exact = build_pmatrix(inst, model, "exact")
     err = np.nanmax(np.abs(pm.p - exact.p))
     assert err <= 0.01
 
@@ -137,7 +137,7 @@ def test_matching_estimator_converges():
         inst, model, groups=20_000, seed=4, mode=MATCHING_GROUPS,
     )
     pm = simulate_estimated_pmatrix(cfg)
-    exact = exact_pmatrix_reference(inst, model)
+    exact = build_pmatrix(inst, model, "exact")
     err = np.nanmax(np.abs(pm.p - exact.p))
     assert err <= 0.015
     # orientation bookkeeping survives the per-matching loop

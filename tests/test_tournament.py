@@ -5,7 +5,7 @@ import pytest
 
 from delib.instances import copeland_k2_worst_case
 from delib.metric import MetricInstance
-from delib.models import ModelConfig
+from delib.models import SQRT, ModelConfig, exact_pk
 from delib.tournament import (
     EXACT_DOMINANCE_TOL,
     MC_DOMINANCE_TOL,
@@ -17,7 +17,6 @@ from delib.tournament import (
     copeland_scores,
     copeland_winner,
     default_tol,
-    exact_pmatrix_reference,
     pipeline_distortion,
     uncovered_check,
 )
@@ -44,6 +43,43 @@ def test_build_pmatrix_exact_orientations():
                 # tie mass counts for the first-named side in both
                 # orientations, so the two entries sum to at least 1
                 assert pm.p[i, j] + pm.p[j, i] >= 1.0 - 1e-12
+
+
+def _lattice_instance(rng, m, n):
+    """Candidates and locations at integer points of a line, so distance
+    differences are integers and group sums tie often."""
+    pos = {f"c{i}": 2 * i * n // (m - 1) + 1 for i in range(m)}
+    pos |= {f"v{i}": 2 * (i + 1) for i in range(n)}
+    names = list(pos)
+    w = rng.random(n) + 0.05
+    return MetricInstance.build(
+        names[:m], [(f"v{i}", x) for i, x in enumerate(w / w.sum())],
+        {(a, b): float(abs(pos[a] - pos[b]))
+         for i, a in enumerate(names) for b in names[i + 1:]},
+    )
+
+
+@pytest.mark.parametrize("model", [
+    ModelConfig("averaging", k=3),
+    ModelConfig("averaging", k=4, tie_to_first=False),
+    ModelConfig("random-choice", k=3),
+    ModelConfig("random-choice", k=4, all_zero_to_first=False),
+    ModelConfig("random-choice", k=3, g=SQRT, beta=0.7),
+    ModelConfig("random-choice", k=2, g=SQRT, beta=0.4,
+                all_zero_to_first=False),
+], ids=lambda m: f"{m.variant}-k{m.k}-{m.g.spec()}-b{m.beta}"
+                 f"-{m.tie_to_first:d}{m.all_zero_to_first:d}")
+def test_build_pmatrix_exact_equals_exact_pk_both_ways(model):
+    # one enumeration per unordered pair gives each orientation bit for bit
+    rng = np.random.default_rng(20)
+    for inst in (_lattice_instance(rng, 4, 9), _lattice_instance(rng, 3, 7),
+                 random_euclidean_instance(rng, 4, 6),
+                 random_euclidean_instance(rng, 3, 8)):
+        pm = build_pmatrix(inst, model, "exact")
+        for i, ci in enumerate(inst.candidates):
+            for j, cj in enumerate(inst.candidates):
+                if i != j:
+                    assert pm.p[i, j] == exact_pk(inst, model, ci, cj).value
 
 
 def test_build_pmatrix_monte_carlo_mirrors():
@@ -155,11 +191,3 @@ def test_pipeline_distortion_worst_case_benign_winner():
     assert winner == "X"
     assert dist == pytest.approx(1.0)
 
-
-def test_exact_pmatrix_reference_alias():
-    rng = np.random.default_rng(10)
-    inst = random_euclidean_instance(rng, 3, 4)
-    model = ModelConfig("averaging", k=2)
-    a = exact_pmatrix_reference(inst, model)
-    b = build_pmatrix(inst, model, "exact")
-    assert np.array_equal(a.p, b.p, equal_nan=True)

@@ -67,7 +67,12 @@ def sample_size_averaging(m: int, epsilon: float, delta: float) -> int:
     give every pair N observations.
     """
     _check_sampling_args(m, epsilon, delta)
-    return math.ceil(math.log(m * (m - 1) / delta) / (HOEFFDING_RATE * epsilon**2))
+    rate = HOEFFDING_RATE * epsilon**2
+    groups = math.log(m * (m - 1) / delta) / rate if rate else math.inf
+    if not math.isfinite(groups):
+        raise ValueError(f"epsilon {epsilon!r} is too small: the group count "
+                         "is not a finite float")
+    return math.ceil(groups)
 
 
 def sample_size_random_choice(

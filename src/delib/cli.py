@@ -543,8 +543,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, ZeroDivisionError, BudgetExceeded,
-            OSError, json.JSONDecodeError, RuntimeError) as e:
+    except (ValueError, KeyError, ZeroDivisionError, OverflowError,
+            BudgetExceeded, OSError, json.JSONDecodeError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

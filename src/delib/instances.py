@@ -20,17 +20,16 @@ class BudgetExceeded(Exception):
     """Requested instance would enumerate more candidates than allowed."""
 
 
-def line_instance_from_bias_distribution(
-    dist: BiasDistribution, candidates: tuple[str, str] = ("W", "X"),
-) -> MetricInstance:
-    """Realize a bias distribution on the unit segment between two candidates.
+def line_instance_from_bias_distribution(dist: BiasDistribution) -> MetricInstance:
+    """Realize a bias distribution on the unit segment between candidates W
+    and X.
 
-    An atom a lands at distance (1+a)/2 from the first candidate and (1-a)/2
-    from the second, so its normalized bias is exactly a. Atoms at -1 or +1
-    sit on the candidates themselves. Recovery of the atom values is exact
-    when they are dyadic rationals; otherwise correct to one rounding.
+    An atom a lands at distance (1+a)/2 from W and (1-a)/2 from X, so its
+    normalized bias is exactly a. Atoms at -1 or +1 sit on the candidates
+    themselves. Recovery of the atom values is exact when they are dyadic
+    rationals; otherwise correct to one rounding.
     """
-    w, x = candidates
+    w, x = "W", "X"
     ids = []
     distances = {(w, x): 1.0}
     masses = {}

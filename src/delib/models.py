@@ -35,6 +35,9 @@ from .metric import MetricInstance, candidate_distance, signed_diffs
 ENUMERATION_BUDGET = 2_000_000
 _MC_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 12
+# the largest group size whose binomials C(k, c) are all finite floats:
+# C(1029, 514) is about 1.43e308, and C(1030, 515) is past the float range
+_MAX_EXACT_K = 1029
 # A float sum of k terms errs by less than (k-1)·(eps/2)·sum|term|, and
 # sum|term| <= k·max|term|; 2·eps·k·k·max|term| bounds that with a margin.
 _SUM_SLACK = 2 * np.finfo(float).eps
@@ -227,40 +230,27 @@ def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
     return core
 
 
-def _join(prefixes, tail, start):
-    """Each sorted prefix row followed by every tail row that starts at or
-    after the prefix's last atom, in order (start[a] is the first tail row
-    whose leading atom is >= a); also the index of each prefix's first row."""
-    sizes = len(tail) - start[prefixes[:, -1]]
-    first = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(prefixes)), sizes)
-    pick = np.arange(len(owner)) + np.repeat(start[prefixes[:, -1]] - first, sizes)
-    return np.hstack([prefixes[owner], tail[pick]]), first
-
-
 def _multiset_rows(n: int, k: int):
     """Every sorted k-multiset of range(n) as a row of atom indices, in
-    itertools.combinations_with_replacement order, in blocks: a numpy table
-    of the t-multisets, for the longest tail t whose table fits _EXACT_BLOCK
-    rows, joined to itertools prefixes of length k - t a batch at a time."""
-    atoms = np.arange(n)[:, None]
-    tail, start, t = atoms, np.arange(n), 1
-    while t < k and math.comb(n + t, t + 1) <= _EXACT_BLOCK:
-        tail, start = _join(atoms, tail, start)
-        t += 1
-    if t == k:
-        yield tail
-        return
-    prefixes = itertools.combinations_with_replacement(range(n), k - t)
-    row = np.dtype((np.intp, k - t))
-    while True:
-        batch = np.fromiter(itertools.islice(prefixes, _EXACT_BLOCK), row)
-        if not len(batch):
-            return
-        sizes = len(tail) - start[batch[:, -1]]
-        block = (np.cumsum(sizes) - sizes) // _EXACT_BLOCK
-        for part in np.split(batch, np.flatnonzero(np.diff(block)) + 1):
-            yield _join(part, tail, start)[0]
+    itertools.combinations_with_replacement order, in blocks of at most
+    _EXACT_BLOCK rows. Row r is unranked in the combinatorial number
+    system: R = C(n+k-1, k)-1-r is the colex rank of a k-combination
+    c_1 < ... < c_k of range(n+k-1); slot i = k, ..., 1 takes the largest
+    c_i with C(c_i, i) <= R, then R -= C(c_i, i), and row entry k-i is
+    n-1-(c_i-(i-1))."""
+    total = math.comb(n + k - 1, k)
+    # below[i-1, d] = C(i-1+d, i) for the offsets d = c_i-(i-1) slot i can
+    # take, capped at total, which no rank reaches
+    below = np.array([[min(math.comb(i - 1 + d, i), total) for d in range(n)]
+                      for i in range(1, k + 1)], dtype=np.int64)
+    for first in range(0, total, _EXACT_BLOCK):
+        rank = total - 1 - np.arange(first, min(first + _EXACT_BLOCK, total))
+        rows = np.empty((len(rank), k), dtype=np.intp)
+        for i in range(k, 0, -1):
+            d = np.searchsorted(below[i - 1], rank, side="right") - 1
+            rank -= below[i - 1, d]
+            rows[:, k - i] = n - 1 - d
+        yield rows
 
 
 def exact_pk_pair(
@@ -275,19 +265,30 @@ def exact_pk_pair(
     diff negated: each row read backwards against -diffs is one of its rows,
     and the weight factors taken from the last atom down give its weight bit
     for bit. Each orientation is summed with one correctly rounded
-    math.fsum, so row order does not matter. Raises
-    EnumerationBudgetExceeded when C(n+k-1, k) exceeds the budget.
+    math.fsum, so row order does not matter. Raises ValueError when k
+    exceeds _MAX_EXACT_K and EnumerationBudgetExceeded when C(n+k-1, k)
+    exceeds the budget, both before any enumeration.
     """
+    k = model.k
+    if k > _MAX_EXACT_K:
+        raise ValueError(
+            f"group size k = {k} is too large for exact enumeration: its "
+            f"binomial weights exceed the float range past k = {_MAX_EXACT_K}"
+        )
     diffs, probs, d12 = _atoms(inst, c1, c2)
-    n, k = len(diffs), model.k
+    n = len(diffs)
     if math.comb(n + k - 1, k) > budget:
         raise EnumerationBudgetExceeded(
             f"{math.comb(n + k - 1, k)} multisets exceed budget {budget}"
         )
     gvals = _atom_gvals(model, diffs, d12)
-    # weight factor comb(rem, c) * p**c for rem members left, c of them here
-    comb = np.array([[math.comb(r, c) for c in range(k + 1)]
-                     for r in range(k + 1)], dtype=float)
+    # weight factor comb(rem, c) * p**c for rem members left, c of them here;
+    # Pascal's rule keeps one row of exact ints at a time
+    comb = np.zeros((k + 1, k + 1))
+    row = [1]
+    for r in range(k + 1):
+        comb[r, :r + 1] = [float(x) for x in row]
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
     powers = np.array([[p**c for c in range(k + 1)] for p in probs])
     fwd, rev = [], []
     for members in _multiset_rows(n, k):

@@ -365,10 +365,7 @@ def sweep(
     return [zeta(k, g, beta, alpha_step, omega_tol) for k in range(k_min, k_max + 1)]
 
 
-def group_size_for_epsilon(
-    epsilon: float, *, alpha_step: float = 1e-3, omega_tol: float = 1e-9,
-    cap: int = GROUP_SIZE_CAP,
-) -> int:
+def group_size_for_epsilon(epsilon: float, *, cap: int = GROUP_SIZE_CAP) -> int:
     """Smallest group size whose distortion_upper is at most 1 + epsilon.
 
     Doubling followed by bisection on the linear-transform, full
@@ -379,7 +376,7 @@ def group_size_for_epsilon(
     target = 1.0 + epsilon
 
     def distortion(k: int) -> float:
-        return zeta(k, LINEAR, 1.0, alpha_step, omega_tol).distortion_upper
+        return zeta(k, LINEAR, 1.0).distortion_upper
 
     if distortion(1) <= target:
         return 1

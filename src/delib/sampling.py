@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricInstance, candidate_distance, distortion_of
+from .metric import MetricInstance, candidate_distance, distortion_of, signed_diffs
 from .models import ModelConfig, _atom_gvals, _block_rng, group_win_probs
 from .tournament import PMatrix, build_pmatrix, build_tournament, copeland_winner
 
@@ -91,25 +91,18 @@ class SampleRunConfig:
             raise ValueError("RankingGroups requires the averaging variant")
 
 
-def _distance_table(inst: MetricInstance) -> np.ndarray:
-    """(locations x candidates) distance matrix in declaration order."""
-    return np.stack(
-        [inst.location_distances(c) for c in inst.candidates], axis=1
-    )
-
-
 def _simulate(config: SampleRunConfig, rng) -> PMatrix:
     inst = config.instance
     model = config.model
     m = inst.m
-    D = _distance_table(inst)
     masses = inst.masses
     P = np.full((m, m), np.nan)
 
     def win_probs(draws, i, j):
         """Each sampled group's chance to output candidate i over j."""
-        diffs = D[:, i] - D[:, j]
-        d12 = candidate_distance(inst, inst.candidates[i], inst.candidates[j])
+        ci, cj = inst.candidates[i], inst.candidates[j]
+        diffs = signed_diffs(inst, ci, cj)
+        d12 = candidate_distance(inst, ci, cj)
         gvals = _atom_gvals(model, diffs, d12)
         return group_win_probs(model, draws, diffs, gvals)
 

@@ -152,14 +152,11 @@ def uncovered_check(t: Tournament, w: str) -> bool:
     return all(reach[j] for j in range(t.m) if j != wi)
 
 
-def pipeline_distortion(
-    inst: MetricInstance, model: ModelConfig, mode="exact",
-    tol: float | None = None,
-) -> tuple[str, float]:
-    """End to end: pairwise probabilities -> tournament -> Copeland winner ->
-    distortion of that winner."""
-    pm = build_pmatrix(inst, model, mode)
-    t = build_tournament(pm, tol)
+def pipeline_distortion(inst: MetricInstance, model: ModelConfig) -> tuple[str, float]:
+    """End to end: exact pairwise probabilities -> tournament -> Copeland
+    winner -> distortion of that winner."""
+    pm = build_pmatrix(inst, model, "exact")
+    t = build_tournament(pm)
     w = copeland_winner(t)
     return w, distortion_of(inst, w)
 

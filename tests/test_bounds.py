@@ -60,6 +60,16 @@ def test_sample_size_averaging_values():
         math.log(20 / 0.1) / (2 * 0.05**2))
 
 
+@pytest.mark.parametrize("epsilon", [1e-160, 1e-200])
+def test_sample_size_rejects_an_epsilon_too_small_to_count(epsilon):
+    # 1e-160 squared is subnormal and the count overflows to inf; 1e-200
+    # squared underflows to 0
+    with pytest.raises(ValueError, match="too small"):
+        sample_size_averaging(5, epsilon, 0.1)
+    with pytest.raises(ValueError, match="too small"):
+        sample_size_random_choice(5, epsilon, 0.1)
+
+
 def test_sample_size_random_choice_values():
     assert sample_size_random_choice(4, 0.1, 0.1) == (240, 3, 720)
     assert sample_size_random_choice(5, 0.1, 0.1) == (265, 5, 1325)

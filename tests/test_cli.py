@@ -172,6 +172,29 @@ def test_bounds_payload(capsys):
     assert payload["samples_averaging"] == 1060
 
 
+@pytest.mark.parametrize("epsilon", ["1e-160", "1e-200"])
+def test_bounds_rejects_an_epsilon_too_small_to_count(capsys, epsilon):
+    assert main(["bounds", "--samples", f"5,{epsilon},0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_pk_rejects_a_group_too_large_for_exact_enumeration(tmp_path, capsys):
+    inst = tmp_path / "lb1.json"
+    assert main(["gen-instance", "--family", "lb1", "--k", "3",
+                 "--out", str(inst)]) == 0
+    model = tmp_path / "model.json"
+    model.write_text(ModelConfig("averaging", 1030).to_json())
+    capsys.readouterr()
+    assert main(["pk", "--instance", str(inst), "--model", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "1030" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_missing_instance_file_is_runtime_error(capsys):
     assert main(["validate", "--instance", "/nonexistent/inst.json"]) == 1
     assert "error" in capsys.readouterr().err

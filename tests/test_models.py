@@ -273,14 +273,38 @@ def test_exact_pk_random_choice_matches_manual():
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (1, 5), (3, 1), (12, 6), (6, 9),
-                                  (30, 3)])
+                                  (30, 3), (8, 10), (2, 1029), (1, 1029),
+                                  (10000, 1)])
 def test_multiset_rows_are_combinations_with_replacement(n, k):
     blocks = list(models._multiset_rows(n, k))
     want = list(itertools.combinations_with_replacement(range(n), k))
     assert np.concatenate(blocks).tolist() == [list(r) for r in want]
-    assert all(len(b) < 2 * models._EXACT_BLOCK for b in blocks)
-    # (12, 6) and (30, 3) outgrow one table and join prefixes to it
-    assert (len(blocks) > 1) == (len(want) > models._EXACT_BLOCK)
+    assert all(len(b) <= models._EXACT_BLOCK for b in blocks)
+    # (12, 6), (6, 9), (30, 3), (8, 10) and (10000, 1) span several blocks
+    assert len(blocks) == -(-len(want) // models._EXACT_BLOCK)
+
+
+def test_exact_pk_rejects_k_past_finite_binomials():
+    dist = BiasDistribution.from_atoms([(-0.5, 0.5), (0.5, 0.5)])
+    inst = line_instance_from_bias_distribution(dist)
+    for variant in ("averaging", "random-choice"):
+        with pytest.raises(ValueError, match="1030"):
+            exact_pk(inst, ModelConfig(variant, k=1030), "W", "X")
+
+
+def test_exact_k_limit_is_the_last_k_with_finite_binomials():
+    top = models._MAX_EXACT_K
+    assert top == 1029
+    assert float(math.comb(top, top // 2)) == pytest.approx(1.43e308, rel=1e-3)
+    with pytest.raises(OverflowError):
+        float(math.comb(top + 1, (top + 1) // 2))
+    # the largest k still enumerates: odd k on a symmetric two-atom
+    # distribution has no zero sum, so the group is a fair coin
+    dist = BiasDistribution.from_atoms([(-0.5, 0.5), (0.5, 0.5)])
+    inst = line_instance_from_bias_distribution(dist)
+    p, q = exact_pk_pair(inst, ModelConfig("averaging", k=top), "W", "X")
+    assert p == pytest.approx(0.5, abs=1e-12)
+    assert q == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["averaging", "random-choice"])

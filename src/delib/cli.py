@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
-                   help="enumeration budget for exact mode")
+                   help="exact mode's enumeration budget in member "
+                        "slots: C(n+k-1, k) multisets of k members each")
     p.set_defaults(func=_cmd_pk)
 
     p = sub.add_parser("tournament", help="pairwise matrix, scores, winner")

@@ -63,6 +63,7 @@ class MetricInstance:
     points: tuple[str, ...]     # candidates + non-candidate locations
     dist: np.ndarray            # (P, P) symmetric, zero diagonal
     _index: dict[str, int] = field(repr=False, default_factory=dict)
+    _location_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.masses.flags.writeable = False
@@ -71,6 +72,10 @@ class MetricInstance:
             object.__setattr__(
                 self, "_index", {p: k for k, p in enumerate(self.points)}
             )
+        rows = np.array([self._index[lid] for lid in self.location_ids],
+                        dtype=int)
+        rows.flags.writeable = False
+        object.__setattr__(self, "_location_rows", rows)
 
     # -- construction ------------------------------------------------------
 
@@ -160,11 +165,7 @@ class MetricInstance:
 
     def location_distances(self, c: str) -> np.ndarray:
         """Distances from every location (in location order) to candidate c."""
-        ci = self.candidate_index(c)
-        rows = np.fromiter(
-            (self._index[lid] for lid in self.location_ids), dtype=int
-        )
-        return self.dist[rows, ci]
+        return self.dist[self._location_rows, self.candidate_index(c)]
 
 
 def validate(inst: MetricInstance) -> list[str]:
@@ -306,11 +307,21 @@ def social_optimum(inst: MetricInstance) -> str:
     return best
 
 
-def distortion_of(inst: MetricInstance, c: str) -> float:
-    opt_cost = social_cost(inst, social_optimum(inst))
+def _distortions(inst: MetricInstance) -> dict[str, float]:
+    """Each candidate's social cost over the social optimum's, from one
+    social_cost per candidate; raises DegenerateOptimum when the optimum's
+    cost is 0."""
+    costs = {c: social_cost(inst, c) for c in inst.candidates}
+    opt_cost = min(costs.values())
     if opt_cost == 0.0:
         raise DegenerateOptimum("social optimum has zero cost")
-    return social_cost(inst, c) / opt_cost
+    return {c: cost / opt_cost for c, cost in costs.items()}
+
+
+def distortion_of(inst: MetricInstance, c: str) -> float:
+    ratios = _distortions(inst)
+    inst.candidate_index(c)     # raises UnknownCandidate
+    return ratios[c]
 
 
 # -- JSON round trip -------------------------------------------------------

@@ -18,6 +18,10 @@ they are formed from the stored distances.
 exact_pk_pair enumerates location multisets with multinomial weights once
 per unordered pair and returns both orientations, each bit for bit what its
 own enumeration would give; exact_pk returns the first.
+
+Sampled members, in monte_carlo_pk and in the sampler, are the inverse CDF
+of uniform draws from a Generator's random() stream, the stream that
+Generator.choice(p=...) reads; _inverse_cdf looks them up.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .metric import MetricInstance, candidate_distance, signed_diffs
 
+# member slots exact enumeration may fill: C(n+k-1, k) multisets of k each
 ENUMERATION_BUDGET = 2_000_000
 _MC_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 12
@@ -266,8 +271,9 @@ def exact_pk_pair(
     and the weight factors taken from the last atom down give its weight bit
     for bit. Each orientation is summed with one correctly rounded
     math.fsum, so row order does not matter. Raises ValueError when k
-    exceeds _MAX_EXACT_K and EnumerationBudgetExceeded when C(n+k-1, k)
-    exceeds the budget, both before any enumeration.
+    exceeds _MAX_EXACT_K and EnumerationBudgetExceeded when the member
+    slots, C(n+k-1, k) multisets of k members each, exceed the budget, both
+    before any enumeration.
     """
     k = model.k
     if k > _MAX_EXACT_K:
@@ -277,9 +283,11 @@ def exact_pk_pair(
         )
     diffs, probs, d12 = _atoms(inst, c1, c2)
     n = len(diffs)
-    if math.comb(n + k - 1, k) > budget:
+    multisets = math.comb(n + k - 1, k)
+    if multisets * k > budget:
         raise EnumerationBudgetExceeded(
-            f"{math.comb(n + k - 1, k)} multisets exceed budget {budget}"
+            f"{multisets} multisets of {k} members ({multisets * k} member "
+            f"slots) exceed budget {budget}"
         )
     gvals = _atom_gvals(model, diffs, d12)
     # weight factor comb(rem, c) * p**c for rem members left, c of them here;
@@ -331,6 +339,50 @@ def _block_rng(seed: int, block: int) -> Generator:
     return Generator(Philox(SeedSequence(entropy=[seed, block])))
 
 
+def _inverse_cdf(cum):
+    """The inverse-CDF lookup for the nondecreasing values cum: a function
+    that maps an array u of floats in [0, 1) to
+    np.searchsorted(cum, u, side="right"), element for element.
+
+    It reads a guide table (Chen & Asau 1974; Devroye 1986, III.2.4) of
+    B = 2^j >= 4n buckets for n values. As B is a power of two, u·B is
+    exact, so bucket b = floor(u·B) holds u in [b/B, (b+1)/B) with no
+    rounding, and lo[b], the count of values <= b/B, is a lower bound on
+    the answer. One exact comparison with the first value above b/B
+    finishes every u whose bucket has at most one value strictly inside;
+    u in a bucket with more (many tiny masses) goes to np.searchsorted.
+    """
+    size = 1 << (4 * len(cum) - 1).bit_length()
+    edges = np.arange(size + 1) / size
+    lo = np.searchsorted(cum, edges[:-1], side="right")
+    crowded = np.searchsorted(cum, edges[1:], side="left") - lo > 1
+    next_value = np.append(cum, np.inf)[lo]
+    any_crowded = bool(crowded.any())
+
+    def lookup(u):
+        b = np.multiply(u, size, out=np.empty(u.shape, np.intp),
+                        casting="unsafe")
+        step = next_value.take(b) <= u
+        idx = lo.take(b)
+        idx += step
+        if any_crowded:
+            far = crowded.take(b)
+            idx[far] = np.searchsorted(cum, u[far], side="right")
+        return idx
+
+    return lookup
+
+
+def _mc_successes(model: ModelConfig, draw, diffs, gvals, rng, rows) -> int:
+    """Successes among `rows` trials drawn from rng; a block's arrays are
+    freed before the next block draws."""
+    k = model.k
+    averaging = model.variant == "averaging"
+    u = rng.random((rows, k if averaging else k + 1))
+    pwin = group_win_probs(model, draw(u[:, :k]), diffs, gvals)
+    return int(np.count_nonzero(pwin if averaging else u[:, k] < pwin))
+
+
 def monte_carlo_pk(
     inst: MetricInstance, model: ModelConfig, c1: str, c2: str,
     trials: int, seed: int,
@@ -338,31 +390,22 @@ def monte_carlo_pk(
     """Unbiased Monte Carlo estimate of exact_pk with Bernoulli outcomes.
 
     Trial t draws from the fixed stream (seed, t // block, t % block), making
-    the estimate independent of chunking. stderr = sqrt(p(1-p)/trials).
+    the estimate independent of chunking: k uniforms, whose inverse CDF
+    over the atoms picks the members, then for random choice one uniform
+    for the group's coin. stderr = sqrt(p(1-p)/trials).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     diffs, probs, d12 = _atoms(inst, c1, c2)
-    k = model.k
     cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)  # guard against rounding at the top
-    averaging = model.variant == "averaging"
+    draw = _inverse_cdf(cum)
     gvals = _atom_gvals(model, diffs, d12)
-
-    width = k if averaging else k + 1
-    successes = 0
-    done = 0
-    block = 0
-    while done < trials:
-        rows = min(_MC_BLOCK, trials - done)
-        rng = _block_rng(seed, block)
-        u = rng.random((rows, width))
-        idx = np.searchsorted(cum, u[:, :k], side="right")
-        pwin = group_win_probs(model, idx, diffs, gvals)
-        wins = pwin if averaging else u[:, k] < pwin
-        successes += int(np.count_nonzero(wins))
-        done += rows
-        block += 1
+    successes = sum(
+        _mc_successes(model, draw, diffs, gvals, _block_rng(seed, block),
+                      min(_MC_BLOCK, trials - first))
+        for block, first in enumerate(range(0, trials, _MC_BLOCK))
+    )
     phat = successes / trials
     return PkResult(
         value=phat,

@@ -13,19 +13,26 @@ are estimated from finitely many sampled groups. Two sampling modes:
     pair in its matching.
 
 Trials are independent replicas driven by (seed, trial) substreams, so a
-run is deterministic given its seed regardless of scheduling.
+run is deterministic given its seed regardless of scheduling. Each group's
+k members are the inverse CDF of the masses at k uniforms of the
+substream's random() stream, the draws Generator.choice(p=masses) makes:
+cdf = masses.cumsum(), divided by its last value, then
+searchsorted(cdf, u, side="right"). A matching's coins follow its groups.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import MetricInstance, candidate_distance, distortion_of, signed_diffs
-from .models import ModelConfig, _atom_gvals, _block_rng, group_win_probs
+from .metric import MetricInstance, _distortions, candidate_distance, signed_diffs
+from .models import (
+    ModelConfig, _atom_gvals, _block_rng, _inverse_cdf, group_win_probs,
+)
 from .tournament import PMatrix, build_pmatrix, build_tournament, copeland_winner
 
 RANKING_GROUPS = "RankingGroups"
@@ -91,46 +98,53 @@ class SampleRunConfig:
             raise ValueError("RankingGroups requires the averaging variant")
 
 
-def _simulate(config: SampleRunConfig, rng) -> PMatrix:
+def _prepare(config: SampleRunConfig):
+    """What every trial of the config shares: the member lookup, the
+    inverse CDF of the masses normalized as Generator.choice normalizes
+    them, and each pair (i, j), i < j, with its atoms' diffs and gvals."""
     inst = config.instance
-    model = config.model
-    m = inst.m
-    masses = inst.masses
-    P = np.full((m, m), np.nan)
-
-    def win_probs(draws, i, j):
-        """Each sampled group's chance to output candidate i over j."""
+    cdf = inst.masses.cumsum()
+    cdf /= cdf[-1]
+    pairs = {}
+    for i, j in itertools.combinations(range(inst.m), 2):
         ci, cj = inst.candidates[i], inst.candidates[j]
         diffs = signed_diffs(inst, ci, cj)
-        d12 = candidate_distance(inst, ci, cj)
-        gvals = _atom_gvals(model, diffs, d12)
-        return group_win_probs(model, draws, diffs, gvals)
+        pairs[i, j] = (diffs, _atom_gvals(config.model, diffs,
+                                          candidate_distance(inst, ci, cj)))
+    return _inverse_cdf(cdf), pairs
 
+
+def _simulate(config: SampleRunConfig, rng, draw, pairs) -> PMatrix:
+    """One trial's estimated P-matrix from rng, with draw and pairs from
+    _prepare(config). RankingGroups draws one (groups x k) member matrix;
+    MatchingGroups draws one per matching, each followed by that
+    matching's coins."""
+    model = config.model
+    m = config.instance.m
+    shape = (config.groups, model.k)
+    P = np.full((m, m), np.nan)
     if config.mode == RANKING_GROUPS:
-        draws = rng.choice(len(masses), size=(config.groups, model.k), p=masses)
-        for i in range(m):
-            for j in range(i + 1, m):
-                P[i, j] = win_probs(draws, i, j).mean()
+        members = draw(rng.random(shape))
+        for pair, (diffs, gvals) in pairs.items():
+            P[pair] = group_win_probs(model, members, diffs, gvals).mean()
     else:
         for matching in round_robin_matchings(m):
-            draws = rng.choice(
-                len(masses), size=(config.groups, model.k), p=masses
-            )
+            members = draw(rng.random(shape))
             coins = rng.random((config.groups, len(matching)))
-            for e, (i, j) in enumerate(matching):
-                wins = coins[:, e] < win_probs(draws, i, j)
-                P[i, j] = np.count_nonzero(wins) / config.groups
+            for e, pair in enumerate(matching):
+                wins = coins[:, e] < group_win_probs(model, members, *pairs[pair])
+                P[pair] = np.count_nonzero(wins) / config.groups
     upper = np.triu_indices(m, 1)
     P.T[upper] = 1.0 - P[upper]
     return PMatrix(
-        inst.candidates, P, "MonteCarlo",
+        config.instance.candidates, P, "MonteCarlo",
         trials=config.groups, seed=config.seed,
     )
 
 
 def simulate_estimated_pmatrix(config: SampleRunConfig) -> PMatrix:
     """Estimated pairwise probabilities for trial 0 of the config."""
-    return _simulate(config, _block_rng(config.seed, 0))
+    return _simulate(config, _block_rng(config.seed, 0), *_prepare(config))
 
 
 @dataclass
@@ -177,21 +191,19 @@ def empirical_distortion_trials(config: SampleRunConfig) -> SampleRunReport:
     on the orientation (i, j), i < j, that the sampler estimates directly.
     """
     exact = build_pmatrix(config.instance, config.model, "exact")
-    m = exact.m
+    upper = np.triu_indices(exact.m, 1)
+    draw, pairs = _prepare(config)
+    distortion = _distortions(config.instance)
     report = SampleRunReport(
         config_mode=config.mode, groups=config.groups, trials=config.trials,
         seed=config.seed, epsilon=config.epsilon,
     )
     for t in range(config.trials):
-        pm = _simulate(config, _block_rng(config.seed, t))
-        tour = build_tournament(pm)
-        w = copeland_winner(tour)
+        pm = _simulate(config, _block_rng(config.seed, t), draw, pairs)
+        w = copeland_winner(build_tournament(pm))
         report.winners.append(w)
-        report.distortions.append(distortion_of(config.instance, w))
-        err = max(
-            abs(pm.p[i, j] - exact.p[i, j])
-            for i in range(m) for j in range(i + 1, m)
-        )
+        report.distortions.append(distortion[w])
+        err = np.abs(pm.p[upper] - exact.p[upper]).max()
         report.max_errors.append(float(err))
     report.mean_distortion = float(np.mean(report.distortions))
     report.max_distortion = float(np.max(report.distortions))

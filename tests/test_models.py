@@ -322,6 +322,86 @@ def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
         exact_pk(inst, model, "c0", "c1", budget=125)
 
 
+def test_budget_counts_member_slots_not_multisets(monkeypatch):
+    def enumerate_rows(n, k):
+        raise AssertionError("enumerated past the budget")
+        yield
+
+    monkeypatch.setattr(models, "_multiset_rows", enumerate_rows)
+    dist = BiasDistribution.from_atoms([(-0.5, 0.25), (0.0, 0.5), (0.5, 0.25)])
+    inst = line_instance_from_bias_distribution(dist)
+    # C(602, 600) = 180,901 multisets of 600 members: 108,540,600 slots
+    assert math.comb(602, 600) <= models.ENUMERATION_BUDGET
+    with pytest.raises(EnumerationBudgetExceeded, match="108540600"):
+        exact_pk_pair(inst, ModelConfig("averaging", k=600), "W", "X")
+
+
+def test_budget_admits_exactly_its_slot_count():
+    inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
+    model = ModelConfig("averaging", k=4)   # 126 multisets, 504 slots
+    assert exact_pk(inst, model, "c0", "c1", budget=504).value == \
+        exact_pk(inst, model, "c0", "c1").value
+    with pytest.raises(EnumerationBudgetExceeded):
+        exact_pk(inst, model, "c0", "c1", budget=503)
+
+
+# -- inverse-CDF draws -------------------------------------------------------
+
+
+_NEAR_ONE = 1.0 - 2.0**-53
+
+
+def _assert_inverse_cdf_matches(cum, u):
+    got = models._inverse_cdf(cum)(u)
+    want = np.searchsorted(cum, u, side="right")
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def _special_draws(cum):
+    """0, 1 - 2^-53, each cdf value below 1 and its float neighbours."""
+    inside = cum[cum < 1.0]
+    return np.concatenate([
+        [0.0, _NEAR_ONE], inside, np.nextafter(inside, 0.0),
+        np.minimum(np.nextafter(inside, 2.0), _NEAR_ONE),
+    ])
+
+
+@given(
+    masses=st.lists(
+        st.one_of(st.just(0.0), st.just(1e-9),
+                  st.floats(min_value=1e-12, max_value=1.0)),
+        min_size=1, max_size=40,
+    ),
+    normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_inverse_cdf_equals_searchsorted(masses, normalize, seed):
+    cum = np.cumsum(masses)
+    if normalize and cum[-1] > 0:
+        cum /= cum[-1]
+    u = np.random.default_rng(seed).random(64)
+    _assert_inverse_cdf_matches(cum, np.concatenate([u, _special_draws(cum)]))
+
+
+@pytest.mark.parametrize("masses", [
+    [1.0],
+    [0.0, 1.0, 0.0],
+    [0.25, 0.25, 0.25, 0.25],          # every cdf value on a bucket edge
+    [1e-7] * 30 + [1.0 - 3e-6],        # 30 values in the first bucket
+    [0.3] + [1e-4] * 25 + [0.7 - 2.5e-3],
+])
+def test_inverse_cdf_on_edges_and_crowded_buckets(masses):
+    cum = np.cumsum(masses)
+    cum[-1] = max(cum[-1], 1.0)
+    u = np.random.default_rng(len(masses)).random((500, 3))
+    _assert_inverse_cdf_matches(cum, u)
+    _assert_inverse_cdf_matches(cum, _special_draws(cum))
+    # a strided view, as monte_carlo_pk passes for random choice
+    wide = np.random.default_rng(1).random((300, 4))
+    _assert_inverse_cdf_matches(cum, wide[:, :3])
+
+
 def test_monte_carlo_pk_deterministic_and_close():
     rng = np.random.default_rng(23)
     inst = random_euclidean_instance(rng, 2, 6)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from delib.instances import lb1_instance
-from delib.metric import MetricInstance
-from delib.models import ModelConfig, exact_pk
+from delib.metric import DegenerateOptimum, MetricInstance
+from delib.models import ModelConfig, _block_rng, exact_pk
 from delib.sampling import (
     MATCHING_GROUPS,
     RANKING_GROUPS,
     SampleRunConfig,
+    _prepare,
     empirical_distortion_trials,
     round_robin_matchings,
     simulate_estimated_pmatrix,
@@ -79,6 +80,36 @@ def test_degenerate_pair_estimates_hit_one():
     pm = simulate_estimated_pmatrix(cfg)
     assert pm.p[0, 1] == 1.0
     assert pm.p[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_members_are_generator_choice_draws(seed):
+    # a random planar instance with some zero masses, and lb1_instance(5)
+    rng = np.random.default_rng(seed)
+    inst = random_euclidean_instance(rng, 3, 9)
+    zeroed = inst.masses.copy()
+    zeroed[rng.random(9) < 0.3] = 0.0
+    zeroed /= zeroed.sum()
+    inst = MetricInstance(inst.candidates, inst.location_ids, zeroed,
+                          inst.points, inst.dist)
+    for inst in (inst, lb1_instance(5)):
+        draw, _ = _prepare(SampleRunConfig(inst, _avg(3), groups=10))
+        n = len(inst.masses)
+        for t in range(3):
+            ours, theirs = _block_rng(seed, t), _block_rng(seed, t)
+            members = draw(ours.random((257, 3)))
+            np.testing.assert_array_equal(
+                members, theirs.choice(n, size=(257, 3), p=inst.masses))
+            assert members.dtype == np.int64
+            assert ours.random() == theirs.random()
+
+
+def test_zero_cost_optimum_still_raises():
+    # all voter mass sits on A, so the optimum's social cost is 0
+    inst = MetricInstance.build(["A", "B"], [("A", 1.0)], {("A", "B"): 1.0})
+    cfg = SampleRunConfig(inst, _avg(), groups=20, trials=2)
+    with pytest.raises(DegenerateOptimum):
+        empirical_distortion_trials(cfg)
 
 
 def test_simulation_is_seed_reproducible(small_line_instance):

@@ -3,7 +3,9 @@
 Interval branch and bound. Every interval arithmetic step is widened one
 ulp outward (epsilon inflation), so enclosures stay sound without touching
 the FPU rounding mode. The centered form's radius is, per coordinate, the
-distance from the box's center to its farther edge, rounded up.
+distance from the box's center to its farther edge, rounded up. Being
+nonnegative, the radius's terms and sums round up by adding one to their
+int64 bits, as `np.nextafter` would.
 
 Each program is compiled once into a tape: its objective and constraints
 as one topologically ordered list of ops, with structurally equal subtrees
@@ -22,14 +24,16 @@ exactly evaluated midpoints plus projected coordinate ascent. Reported
 upper bounds are rigorous whether or not the run ends certified.
 
 When the objective is a bare variable, each kept child is also shaved:
-provably infeasible top slabs of that variable's range are cut off. A
-slab lies inside its child, so the child's |gradient| bounds of the
-nonlinear constraints serve the slab's centered form, and a slab costs
-one interval pass over its rows stacked with their centers, not a fresh
-gradient pass. The result is bit-identical to a fresh pass when the
-objective variable is never a factor of a product whose other factor is
-non-constant (as in every theta_3 case): then no gradient enclosure
-depends on that variable's range.
+provably infeasible top slabs of that variable's range are cut off. Only
+the constraints that read that variable are tested: any other encloses a
+slab as it does the kept child. A slab lies inside its child, so the
+child's |gradient| bounds of those constraints serve the slab's centered
+form, and a slab costs one interval pass of their tape over its rows
+stacked with their centers, not a fresh gradient pass. The result is
+bit-identical to a fresh pass when the objective variable is never a
+factor of a product whose other factor is non-constant (as in every
+theta_3 case): then no gradient enclosure depends on that variable's
+range.
 
 Feasibility slack: incumbents may violate constraints by up to `FEAS_TOL`
 after exact evaluation, and infeasibility pruning leaves the same slack,
@@ -63,6 +67,20 @@ def _dn(a):
 
 def _up(a):
     return np.nextafter(a, np.inf)
+
+
+def _step_up(x):
+    """np.nextafter(x, inf) in place for x >= +0: one add on the int64
+    bits. +inf steps to NaN."""
+    bits = x.view(np.int64)
+    bits += 1
+    return x
+
+
+def _nan_to_inf(x):
+    """x with NaNs set to +inf, in place."""
+    np.copyto(x, np.inf, where=np.isnan(x))
+    return x
 
 
 def _wrap(x) -> "Expr":
@@ -180,17 +198,27 @@ def _mid_rad(LO, HI):
     distance from the center to either edge (variables x boxes). The
     rounded half-width 0.5 (HI - LO) can fall short of that distance, so
     each side's distance is rounded up and the larger one taken."""
+    # the center lies in [LO, HI] while LO + HI is finite, which
+    # solve_global ensures, so both distances are >= +0
     MID = 0.5 * (LO + HI)
-    return MID, np.maximum(_up(HI - MID), _up(MID - LO)).T
+    rad = np.maximum(_step_up(HI - MID), _step_up(MID - LO))
+    return MID, _nan_to_inf(rad).T
 
 
 def _centered(vl, vh, ml, mh, RADT, mag):
     """The natural extension [vl, vh] intersected with the centered form
     [ml, mh] +- sum_j RADT_j mag_j, each term and partial sum rounded up.
     mag is (variables x boxes), or stacks several expressions in front."""
-    rad = np.zeros(ml.shape)
+    # terms and sums are >= +0: each rounds up by a bit step (_step_up)
+    # on one of two buffers, and a NaN stepped from +inf is +inf again
+    rad, term = np.zeros(ml.shape), np.empty(ml.shape)
+    rad_bits, term_bits = rad.view(np.int64), term.view(np.int64)
     for j, r in enumerate(RADT):
-        rad = _up(rad + _up(r * mag[..., j, :]))
+        np.multiply(r, mag[..., j, :], out=term)
+        term_bits += 1
+        rad += term
+        rad_bits += 1
+    _nan_to_inf(rad)
     return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
 
 
@@ -385,7 +413,9 @@ class _Tape:
         nonlinear roots over the enclosing boxes (nonlinear roots x
         variables x boxes). Those bounds hold on every sub-box, so the
         centered form needs only one interval pass over the boxes stacked
-        with their centers, and no gradient pass."""
+        with their centers, and no gradient pass. A root that does not
+        read a coordinate where the boxes shrank gets its enclosure over
+        the enclosing boxes."""
         N = LO.shape[0]
         MID, RADT = _mid_rad(LO, HI)
         both = self.ival(np.concatenate([LO, MID]), np.concatenate([HI, MID]))
@@ -618,15 +648,23 @@ def solve_global(
 
     kind, arg = tape.ops[tape.roots[0]]
     obj_j = arg if kind == _VAR else None    # objective is a bare variable
+    # The shave tests only the constraints that read obj_j: any other one
+    # has the same enclosure on a slab as on its kept box, so never chops.
+    reads = [i for i, r in enumerate(tape.roots[1:])
+             if obj_j in tape.support[r]]      # none when obj_j is None
+    slab_cons = [prog.constraints[i] for i in reads]
+    slab_tape = _Tape([c.expr for c in slab_cons], prog.var_names)
+    stored = {i for i in reads if tape.degs[i + 1] > 1}   # MAGS rows
 
     def violated(c, gl, gh):
         if c.relation == ">=":
             return gh < c.rhs - FEAS_TOL
         return gl > c.rhs + FEAS_TOL
 
-    def child_bounds(LO, HI):
+    def child_bounds(LO, HI, root=False):
         """Per box: objective upper bound, infeasibility flag, split dim,
-        and the |gradient| bounds of the nonlinear constraints.
+        and the |gradient| bounds of the nonlinear constraints the shave
+        tests.
 
         The gradients driving the centered form also drive smear-based
         branching (split where |grad| x width is largest over the objective
@@ -634,15 +672,23 @@ def solve_global(
         """
         RADT = (0.5 * (HI - LO)).T          # (n, N)
         roots = tape.enclose(LO, HI)
+        # an overflow could make an enclosure NaN, which drops its box as
+        # if infeasible; finite over the root box, finite over sub-boxes
+        if root:
+            roots = list(roots)
+            if not all(np.isfinite(a).all() for e in roots for a in e):
+                raise ValueError("enclosures over the root box are not "
+                                 "finite; narrow the variable bounds")
+            roots = iter(roots)
         ol, oh, omag = next(roots)
         smear = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
         mags = []
-        for c, (gl, gh, gmag), deg in zip(prog.constraints, roots, tape.degs[1:]):
+        for i, (c, (gl, gh, gmag)) in enumerate(zip(prog.constraints, roots)):
             infeas |= violated(c, gl, gh)
             active = gl < c.rhs if c.relation == ">=" else gh > c.rhs
             smear += gmag * RADT * active[None, :]
-            if deg > 1:
+            if i in stored:
                 mags.append(gmag)
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
@@ -668,16 +714,19 @@ def solve_global(
                 continue
             SLO, SHI = LO[test], HI[test]
             SLO[:, obj_j] = SHI[:, obj_j] - s
-            _, *cons = tape.enclose_within(SLO, SHI, MAGS[:, :, test])
+            cons = slab_tape.enclose_within(SLO, SHI, MAGS[:, :, test])
             chop = np.zeros(test.size, dtype=bool)
-            for c, (gl, gh) in zip(prog.constraints, cons):
+            for c, (gl, gh) in zip(slab_cons, cons):
                 chop |= violated(c, gl, gh)
             test = test[chop]
             HI[test, obj_j] -= s[chop]
         return HI[:, obj_j].copy()
 
     lo0, hi0 = prog.lower.copy(), prog.upper.copy()
-    ub0, infeas0, sdim0, _ = child_bounds(lo0[None, :], hi0[None, :])
+    if (np.abs([lo0, hi0]) > np.finfo(float).max / 2).any():
+        raise ValueError("variable bounds too large: box centers overflow")
+    ub0, infeas0, sdim0, _ = child_bounds(lo0[None, :], hi0[None, :],
+                                          root=True)
     boxes = 1
     residual = -math.inf          # sup over dropped undecided slivers
     heap: list = []

@@ -1,7 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from delib import MetricInstance
+from delib.averaging import solve_theta2, solve_theta3
 
 
 def random_euclidean_instance(rng, m, n, dim=2):
@@ -37,3 +40,21 @@ def small_line_instance():
     return MetricInstance.build(
         ["A", "B", "C"], [("u", 0.5), ("v", 0.3), ("w", 0.2)], dists
     )
+
+
+@pytest.fixture(scope="session")
+def theta2_run():
+    """solve_theta2() at its defaults and its wall time, shared by every
+    module that checks it."""
+    t0 = time.monotonic()
+    res = solve_theta2()
+    return res, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def theta3_run():
+    """solve_theta3(threads=2) and its wall time: the longest solve of the
+    suite, run once."""
+    t0 = time.monotonic()
+    res = solve_theta3(threads=2)
+    return res, time.monotonic() - t0

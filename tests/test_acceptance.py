@@ -3,8 +3,9 @@
 Every check here exercises a released interface at its documented
 tolerance: certified optima against closed forms, table and figure
 values, lower-bound witnesses, pipeline tightness, the randomized
-property suites, and the sampling guarantee. Expensive certified solves
-run once per module and are shared.
+property suites, and the sampling guarantee. The expensive certified
+solves of theta_2 and theta_3 run once per session (`conftest.py`) and
+are shared with `test_golden_solves.py`.
 """
 
 import itertools
@@ -18,8 +19,6 @@ from delib.averaging import (
     K2_BETA_THRESHOLD,
     THETA2,
     solve_copeland_k2,
-    solve_theta2,
-    solve_theta3,
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
 )
@@ -51,20 +50,6 @@ from delib.tournament import (
 )
 
 from conftest import random_euclidean_instance
-
-
-@pytest.fixture(scope="module")
-def theta2_run():
-    t0 = time.monotonic()
-    res = solve_theta2()
-    return res, time.monotonic() - t0
-
-
-@pytest.fixture(scope="module")
-def theta3_run():
-    t0 = time.monotonic()
-    res = solve_theta3(threads=2)
-    return res, time.monotonic() - t0
 
 
 def test_theta2_certified_value_and_witness(theta2_run):

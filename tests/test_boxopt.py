@@ -280,3 +280,39 @@ def test_objective_shave_makes_no_gradient_pass(monkeypatch):
     assert res.boxes >= 3000
     assert callers and set(callers) == {"child_bounds"}
     assert slab_passes
+
+
+def test_overflowing_root_enclosure_is_rejected():
+    # 0 * inf makes the objective enclosure NaN; a NaN box used to be
+    # dropped, certifying a false maximum of 0 after one box
+    x, y = Var("x"), Var("y")
+    prog = BoxProgram([("x", 0.0, 1.0), ("y", -1e200, 1e200)], x * (y * y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_global(prog)
+
+
+def test_bounds_whose_box_centers_overflow_are_rejected():
+    x = Var("x")
+    prog = BoxProgram([("x", -1.0, 1.7e308)], x, [(x, "<=", 1.0)])
+    with pytest.raises(ValueError, match="too large"):
+        solve_global(prog)
+
+
+@pytest.mark.parametrize("case, count", [(7, 8), (8, 7)])
+def test_objective_shave_tests_only_constraints_reading_the_objective(
+        monkeypatch, case, count):
+    prog = build_theta3_case_program(case)
+    tape, th = prog._tape, prog.var_names.index("th")
+    reads = [tape.obj(r) for r in tape.roots[1:] if th in tape.support[r]]
+    assert len(reads) == count < len(prog.constraints)
+    shaved = []
+    within = _Tape.enclose_within
+
+    def recorded(self, LO, HI, mags):
+        shaved.append([self.obj(r) for r in self.roots])
+        return within(self, LO, HI, mags)
+
+    monkeypatch.setattr(_Tape, "enclose_within", recorded)
+    _solve_theta3_capped(case, "smear", 600)
+    assert shaved and all(s == reads for s in shaved)

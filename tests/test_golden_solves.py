@@ -1,0 +1,77 @@
+"""Certified box solves pinned bit for bit to a committed fixture.
+
+Each solve's full `GlobalOptimum` JSON (point, value, bound, gap, boxes,
+status) is compared with `tests/data/golden_solves.json`, floats stored as
+float.hex, so a change to the interval arithmetic, the branching or the
+shave shows here as a changed float, not only as a moved box count. The
+theta_3 cases come from the session's shared `theta3_run`, so they cost
+no extra solve. After a deliberate change to the search, rewrite the
+fixture with
+
+    PYTHONPATH=src python tests/test_golden_solves.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from delib.averaging import (
+    THETA3_CASES, solve_copeland_k2, solve_theta2, solve_theta3,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_solves.json"
+K2_BETA = 3.4152
+
+
+def _hexed(x):
+    """x with every float written as float.hex, recursively."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {k: _hexed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_hexed(v) for v in x]
+    return x
+
+
+def _pinned(opt):
+    return _hexed(json.loads(opt.to_json()))
+
+
+def _outputs(theta2, k2, theta3) -> dict:
+    return {
+        "theta2": _pinned(theta2.per_case[0]),
+        "k2": [_pinned(opt) for opt in k2],
+        "theta3": {str(c): _pinned(theta3.per_case[c]) for c in THETA3_CASES},
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def k2_run():
+    return solve_copeland_k2(K2_BETA)
+
+
+def test_theta2_solve_matches_golden(golden, theta2_run):
+    assert _pinned(theta2_run[0].per_case[0]) == golden["theta2"]
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_k2_solve_matches_golden(golden, k2_run, case):
+    assert _pinned(k2_run[case - 1]) == golden["k2"][case - 1]
+
+
+@pytest.mark.parametrize("case", THETA3_CASES)
+def test_theta3_case_solve_matches_golden(golden, theta3_run, case):
+    assert _pinned(theta3_run[0].per_case[case]) == golden["theta3"][str(case)]
+
+
+if __name__ == "__main__":
+    outputs = _outputs(solve_theta2(), solve_copeland_k2(K2_BETA),
+                       solve_theta3(threads=2))
+    GOLDEN.write_text(json.dumps(outputs, indent=1) + "\n")

@@ -26,7 +26,8 @@ from delib.averaging import (
 )
 from delib.boxopt import (
     _ADD, _CONST, _MUL, _NEG, _VAR, Add, BoxProgram, Const, Mul, Neg, Sub, Var,
-    _centered, _dn, _imul, _ival_op, _mid_rad, _Tape, _up,
+    _centered, _dn, _imul, _ival_op, _mid_rad, _nan_to_inf, _step_up, _Tape,
+    _up,
 )
 
 _coords = st.floats(min_value=-4.0, max_value=4.0,
@@ -453,6 +454,74 @@ def test_centered_form_radius_covers_random_boxes(data):
     assert _radius_covers(*data.draw(_boxes(3)))
 
 
+_STEP_EDGES = [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.0, 1.7976931348623157e308]
+
+
+@given(bits=st.lists(st.integers(0, 0x7FEF_FFFF_FFFF_FFFF), max_size=20))
+def test_bit_step_is_nextafter_on_nonnegative_floats(bits):
+    # every finite float >= +0 from its bit pattern, plus the edges: +0,
+    # the smallest subnormal, the largest subnormal, the smallest normal,
+    # 1 and the largest finite value
+    x = np.concatenate([np.array(bits, dtype=np.int64).view(np.float64),
+                        _STEP_EDGES])
+    with np.errstate(over="ignore"):      # the largest value steps to inf
+        want = np.nextafter(x, np.inf)
+    assert _same_bits(_step_up(x.copy()), want)
+
+
+def test_bit_step_of_infinity_is_nan_and_maps_back_to_infinity():
+    x = _step_up(np.array([np.inf, np.inf]))
+    assert np.isnan(x).all()
+    with np.errstate(invalid="ignore"):   # the stepped inf is a signaling NaN
+        x[1] += 1.0
+    assert _same_bits(_nan_to_inf(x), np.nextafter([np.inf] * 2, np.inf))
+
+
+def _centered_by_nextafter(vl, vh, ml, mh, RADT, mag):
+    """_centered with every rounding an np.nextafter call."""
+    rad = np.zeros(ml.shape)
+    for j, r in enumerate(RADT):
+        rad = _up(rad + _up(r * mag[..., j, :]))
+    return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
+
+
+def _array(data, elements, shape):
+    size = math.prod(shape)
+    values = data.draw(st.lists(elements, min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+_magnitudes = st.one_of(
+    st.floats(0.0, 4.0), st.floats(0.0, 1.7976931348623157e308),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300]))
+
+
+@given(data=st.data())
+def test_centered_form_steps_bits_as_nextafter_rounds(data):
+    # radii and gradient bounds up to the largest float, so terms and
+    # sums overflow to inf as well
+    n, rows, roots = (data.draw(st.integers(1, 4)) for _ in range(3))
+    RADT = _array(data, _magnitudes, (n, rows))
+    mag = _array(data, _magnitudes, (roots, n, rows))
+    ml = _array(data, _coords, (roots, rows))
+    vl, vh = ml - 8.0, ml + 8.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _centered(vl, vh, ml, ml, RADT, mag)
+        want = _centered_by_nextafter(vl, vh, ml, ml, RADT, mag)
+    assert all(map(_same_bits, got, want))
+
+
+def test_centered_form_on_a_huge_radius_is_the_natural_extension():
+    # the radius overflows to +inf, not NaN, so the centered form is
+    # (-inf, inf) and the natural extension stands
+    vl, vh, ml = np.array([-2.0]), np.array([3.0]), np.array([0.5])
+    RADT, mag = np.full((2, 1), 1e300), np.full((2, 1), 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _centered(vl, vh, ml, ml, RADT, mag)
+    assert _same_bits(got[0], vl) and _same_bits(got[1], vh)
+
+
 def _slab_program(draw, linear):
     """(names, roots, j): roots[0] is the bare variable names[j]. With
     linear, that variable enters each other root only through sums and
@@ -475,8 +544,8 @@ def _slab_program(draw, linear):
 
 
 def _slabs(data, names, roots, j):
-    """Tape, boxes, their nonlinear |gradient| bounds, and top slabs of
-    the boxes in coordinate j."""
+    """Tape, boxes, their enclosures, and top slabs of the boxes in
+    coordinate j with the boxes' nonlinear |gradient| bounds."""
     tape = _Tape(roots, names)
     LO, HI = data.draw(_narrow_boxes(len(names)))
     encl = list(tape.enclose(LO, HI))
@@ -485,22 +554,47 @@ def _slabs(data, names, roots, j):
     frac = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
     SLO = LO.copy()
     SLO[:, j] = np.maximum(LO[:, j], HI[:, j] - (HI[:, j] - LO[:, j]) * frac)
-    return tape, SLO, HI, mags
+    return tape, encl, SLO, HI, mags
+
+
+def _renamed(e, prefix):
+    """A copy of e with each variable name prefixed."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return Var(prefix + e.name)
+    if isinstance(e, Neg):
+        return Neg(_renamed(e.a, prefix))
+    return type(e)(_renamed(e.a, prefix), _renamed(e.b, prefix))
 
 
 @given(data=st.data())
 def test_slab_enclosures_match_a_fresh_pass_when_the_variable_is_linear(data):
     names, roots, j = _slab_program(data.draw, linear=True)
-    tape, SLO, SHI, mags = _slabs(data, names, roots, j)
+    tape, _, SLO, SHI, mags = _slabs(data, names, roots, j)
     fresh = list(tape.enclose(SLO, SHI))
     for got, want in zip(tape.enclose_within(SLO, SHI, mags), fresh):
         assert all(map(_same_bits, got, want[:2]))
 
 
 @given(data=st.data())
+def test_slab_enclosures_of_roots_not_reading_the_variable_are_the_boxes(data):
+    # why the objective shave skips constraints that do not read the
+    # objective variable: on every slab they enclose as on the box itself
+    names, roots, j = _slab_program(data.draw, linear=data.draw(st.booleans()))
+    other_names, others = data.draw(_programs())
+    others = [_renamed(e, "u") for e in others]
+    tape, encl, SLO, SHI, mags = _slabs(
+        data, names + ["u" + name for name in other_names], roots + others, j)
+    got = tape.enclose_within(SLO, SHI, mags)
+    for r in range(len(roots), len(roots) + len(others)):
+        assert all(map(_same_bits, got[r], encl[r][:2]))
+
+
+@given(data=st.data())
 def test_slab_enclosures_contain_exact_values(data):
     names, roots, j = _slab_program(data.draw, linear=False)
-    tape, SLO, SHI, mags = _slabs(data, names, roots, j)
+    tape, _, SLO, SHI, mags = _slabs(data, names, roots, j)
     got = tape.enclose_within(SLO, SHI, mags)
     natural = tape.ival(SLO, SHI)
     for row in range(SLO.shape[0]):

@@ -7,8 +7,9 @@ distance from the box's center to its farther edge, rounded up. Being
 nonnegative, the radius's terms and sums round up by adding one to their
 int64 bits, as `np.nextafter` would.
 
-Each program is compiled once into a tape: its objective and constraints
-as one topologically ordered list of ops, with structurally equal subtrees
+Expression nodes carry the tape's own (kind, arg) encoding. Each program
+is compiled once into a tape: its objective and constraints as one
+topologically ordered list of those ops, with structurally equal subtrees
 merged, so a shared subexpression is evaluated once per pass. One pass over
 the tape evaluates every expression for a batch of points or boxes in plain
 floats, in intervals, or in intervals with interval gradients, and frees
@@ -83,88 +84,61 @@ def _nan_to_inf(x):
     return x
 
 
+# expression node and tape op kinds; kinds from _ADD on take operands
+_CONST, _VAR, _ADD, _SUB, _MUL, _NEG = range(6)
+
+
 def _wrap(x) -> "Expr":
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, float)):
-        return Const(float(x))
+        return Const(x)
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 
 class Expr:
     """Polynomial expression node; supports +, -, *, unary -, and ** n.
-    Nodes are syntax only: the compiled _Tape reads their structure."""
+    Nodes carry the tape's own encoding: kind is a tape op kind, and arg a
+    constant's float, a variable's name or the tuple of operand nodes."""
 
-    __slots__ = ()
+    __slots__ = ("kind", "arg")
+
+    def __init__(self, kind: int, arg):
+        self.kind, self.arg = kind, arg
 
     def __add__(self, o):
-        return Add(self, _wrap(o))
+        return Expr(_ADD, (self, _wrap(o)))
 
     def __radd__(self, o):
-        return Add(_wrap(o), self)
+        return Expr(_ADD, (_wrap(o), self))
 
     def __sub__(self, o):
-        return Sub(self, _wrap(o))
+        return Expr(_SUB, (self, _wrap(o)))
 
     def __rsub__(self, o):
-        return Sub(_wrap(o), self)
+        return Expr(_SUB, (_wrap(o), self))
 
     def __mul__(self, o):
-        return Mul(self, _wrap(o))
+        return Expr(_MUL, (self, _wrap(o)))
 
     def __rmul__(self, o):
-        return Mul(_wrap(o), self)
+        return Expr(_MUL, (_wrap(o), self))
 
     def __neg__(self):
-        return Neg(self)
+        return Expr(_NEG, (self,))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1:
             raise ValueError("only integer powers >= 1")
-        out = self
-        for _ in range(n - 1):
-            out = Mul(out, self)
-        return out
+        return self if n == 1 else Expr(_MUL, (self ** (n - 1), self))
 
 
-class Const(Expr):
-    __slots__ = ("v",)
-
-    def __init__(self, v: float):
-        self.v = float(v)
+def Const(v: float) -> Expr:
+    return Expr(_CONST, float(v))
 
 
-class Var(Expr):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class _Binary(Expr):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-
-class Add(_Binary):
-    __slots__ = ()
-
-
-class Sub(_Binary):
-    __slots__ = ()
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-
-class Neg(Expr):
-    __slots__ = ("a",)
-
-    def __init__(self, a):
-        self.a = a
+def Var(name: str) -> Expr:
+    return Expr(_VAR, name)
 
 
 def _imul(al, ah, bl, bh):
@@ -173,9 +147,6 @@ def _imul(al, ah, bl, bh):
             _up(np.maximum(np.maximum(p, q), np.maximum(r, s))))
 
 
-# tape op kinds; ops from _ADD on take operand ops
-_CONST, _VAR, _ADD, _SUB, _MUL, _NEG = range(6)
-_KIND = {Add: _ADD, Sub: _SUB, Mul: _MUL}
 _PLAIN = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul,
           _NEG: operator.neg}
 _SYMBOL = {_ADD: "+", _SUB: "-", _MUL: "*", _NEG: "neg"}   # program JSON
@@ -266,16 +237,14 @@ class _Tape:
         keys: dict = {}
 
         def visit(e):
-            if isinstance(e, Const):
-                key, op = (_CONST, e.v.hex()), (_CONST, e.v)
-            elif isinstance(e, Var):
-                if e.name not in idx:
-                    unknown.add(e.name)
-                key = op = (_VAR, idx.get(e.name))
-            elif isinstance(e, Neg):
-                key = op = (_NEG, (visit(e.a),))
+            if e.kind == _CONST:
+                key, op = (_CONST, e.arg.hex()), (_CONST, e.arg)
+            elif e.kind == _VAR:
+                if e.arg not in idx:
+                    unknown.add(e.arg)
+                key = op = (_VAR, idx.get(e.arg))
             else:
-                key = op = (_KIND[type(e)], (visit(e.a), visit(e.b)))
+                key = op = (e.kind, tuple(map(visit, e.arg)))
             i = keys.get(key)
             if i is None:
                 i = keys[key] = len(self.ops)

@@ -229,6 +229,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_solve_avg(args) -> int:
+    _require(args.k == 3 or args.budget is None,
+             "--budget applies to --k 3 only")
     config = {"k": args.k, "tol": args.tol, "budget": args.budget}
     if args.k == 2:
         res = solve_theta2(**_given(tol=args.tol))
@@ -468,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certified max mean bias, averaging rule")
     p.add_argument("--k", type=int, required=True, choices=(2, 3))
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="boxes per theta_3 case (--k 3 only)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_avg)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from delib import MetricInstance
-from delib.averaging import solve_theta2, solve_theta3
+from delib.averaging import (
+    K2_CASES, THETA3_CASES, build_k2_case_program, build_theta2_program,
+    build_theta3_case_program, solve_theta2, solve_theta3,
+)
 
 
 def random_euclidean_instance(rng, m, n, dim=2):
@@ -25,6 +28,23 @@ def random_euclidean_instance(rng, m, n, dim=2):
     return MetricInstance.build(
         names[:m], [(names[m + i], w[i]) for i in range(n)], dists
     )
+
+
+def paper_programs() -> dict:
+    """The paper's box programs by a name unique across betas: theta_2 in
+    both encodings, both k = 2 cases in both forms at two betas, and the
+    eight theta_3 cases."""
+    progs = {p.name: p for p in (build_theta2_program(),
+                                 build_theta2_program(expanded=False))}
+    for beta in (3.0, 3.4152):
+        for case in K2_CASES:
+            for reduced in (False, True):
+                p = build_k2_case_program(case, beta, reduced=reduced)
+                progs[f"{p.name}-beta{beta}"] = p
+    for case in THETA3_CASES:
+        p = build_theta3_case_program(case)
+        progs[p.name] = p
+    return progs
 
 
 @pytest.fixture

@@ -22,13 +22,13 @@ from delib.averaging import (
     _theta3_seeds,
 )
 from delib.boxopt import (
+    _ADD,
+    _CONST,
+    _MUL,
+    _NEG,
+    _VAR,
     CERTIFIED,
-    Add,
-    Const,
     GlobalOptimum,
-    Mul,
-    Neg,
-    Var,
     solve_global,
 )
 from delib.metric import BiasDistribution
@@ -145,14 +145,14 @@ def test_lb1_k3_point_is_feasible_for_case5():
 
 def _exact(e, point):
     """Value of an expression in exact rational arithmetic."""
-    if isinstance(e, Const):
-        return Fraction(e.v)
-    if isinstance(e, Var):
-        return point[e.name]
-    if isinstance(e, Neg):
-        return -_exact(e.a, point)
-    a, b = _exact(e.a, point), _exact(e.b, point)
-    return a * b if isinstance(e, Mul) else a + b if isinstance(e, Add) else a - b
+    if e.kind == _CONST:
+        return Fraction(e.arg)
+    if e.kind == _VAR:
+        return point[e.arg]
+    if e.kind == _NEG:
+        return -_exact(e.arg[0], point)
+    a, b = (_exact(x, point) for x in e.arg)
+    return a * b if e.kind == _MUL else a + b if e.kind == _ADD else a - b
 
 
 def test_theta3_case6_seed_is_exactly_feasible():

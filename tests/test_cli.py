@@ -206,6 +206,15 @@ def test_unknown_subcommand_exits_two():
     assert exc.value.code == 2
 
 
+def test_solve_avg_k2_rejects_a_box_budget(capsys):
+    # solve_theta2 takes no box budget: accepting --budget would report a
+    # budget the solve never used
+    assert main(["solve-avg", "--k", "2", "--budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --budget applies to --k 3 only\n"
+
+
 def test_solve_random_payload(capsys):
     assert main(["solve-random", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,12 +1,17 @@
-"""Certified box solves pinned bit for bit to a committed fixture.
+"""Certified box solves and the programs they solve, pinned bit for bit to
+committed fixtures.
 
-Each solve's full `GlobalOptimum` JSON (point, value, bound, gap, boxes,
+The `BoxProgram.to_json()` text of every paper program (theta_2 in both
+encodings, both k = 2 cases in both forms at two betas, all eight theta_3
+cases) is compared with `tests/data/golden_programs.json`, so a drift in
+how a program is built or compiled fails here before any solve. Each
+solve's full `GlobalOptimum` JSON (point, value, bound, gap, boxes,
 status) is compared with `tests/data/golden_solves.json`, floats stored as
 float.hex, so a change to the interval arithmetic, the branching or the
 shave shows here as a changed float, not only as a moved box count. The
 theta_3 cases come from the session's shared `theta3_run`, so they cost
-no extra solve. After a deliberate change to the search, rewrite the
-fixture with
+no extra solve. After a deliberate change to the programs or the search,
+rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden_solves.py
 """
@@ -20,7 +25,11 @@ from delib.averaging import (
     THETA3_CASES, solve_copeland_k2, solve_theta2, solve_theta3,
 )
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden_solves.json"
+from conftest import paper_programs
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "golden_solves.json"
+PROGRAMS = DATA / "golden_programs.json"
 K2_BETA = 3.4152
 
 
@@ -53,6 +62,26 @@ def golden():
 
 
 @pytest.fixture(scope="module")
+def programs():
+    return json.loads(PROGRAMS.read_text())
+
+
+@pytest.fixture(scope="module")
+def built():
+    return paper_programs()
+
+
+def test_every_paper_program_is_pinned(programs, built):
+    assert len(built) == 18
+    assert sorted(programs) == sorted(built)
+
+
+@pytest.mark.parametrize("name", sorted(paper_programs()))
+def test_paper_program_json_matches_golden(programs, built, name):
+    assert built[name].to_json() == programs[name]
+
+
+@pytest.fixture(scope="module")
 def k2_run():
     return solve_copeland_k2(K2_BETA)
 
@@ -72,6 +101,9 @@ def test_theta3_case_solve_matches_golden(golden, theta3_run, case):
 
 
 if __name__ == "__main__":
+    PROGRAMS.write_text(json.dumps(
+        {name: p.to_json() for name, p in paper_programs().items()},
+        indent=1) + "\n")
     outputs = _outputs(solve_theta2(), solve_copeland_k2(K2_BETA),
                        solve_theta3(threads=2))
     GOLDEN.write_text(json.dumps(outputs, indent=1) + "\n")

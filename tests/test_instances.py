@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from delib import instances
 from delib.instances import (
     FAMILIES,
     BudgetExceeded,
@@ -124,6 +125,17 @@ def test_example1_budget():
     # explicit budget raise lets the same request through
     inst = example1_instance(12, 2, 0.01, budget=100)
     assert inst.m == 67
+
+
+def test_example1_default_budget_refuses_before_building(monkeypatch):
+    # C(13, 6) + 1 = 1,717 candidates would take about 37 s and 0.7 GB to
+    # build and validate; the default budget refuses before any subset
+    def no_subsets(*args):
+        raise AssertionError("built candidates before checking the budget")
+
+    monkeypatch.setattr(instances, "combinations", no_subsets)
+    with pytest.raises(BudgetExceeded, match="1717 candidates"):
+        example1_instance(13, 6, 0.01)
 
 
 def test_example1_candidate_pair_distances():

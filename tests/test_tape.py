@@ -12,6 +12,7 @@ gradient over all variables.
 
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -20,19 +21,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from delib import boxopt
-from delib.averaging import (
-    K2_CASES, THETA3_CASES, build_k2_case_program, build_theta2_program,
-    build_theta3_case_program,
-)
+from delib.averaging import build_theta3_case_program
 from delib.boxopt import (
-    _ADD, _CONST, _MUL, _NEG, _VAR, Add, BoxProgram, Const, Mul, Neg, Sub, Var,
+    _ADD, _CONST, _MUL, _NEG, _SUB, _VAR, BoxProgram, Const, Expr, Var,
     _centered, _dn, _imul, _ival_op, _mid_rad, _nan_to_inf, _step_up, _Tape,
     _up,
 )
 
+from conftest import paper_programs
+
 _coords = st.floats(min_value=-4.0, max_value=4.0,
                     allow_nan=False, allow_infinity=False)
 _consts = st.one_of(st.integers(-3, 3).map(float), _coords)
+# exact and float arithmetic of the operator kinds, and their program JSON
+_ARITH = {_ADD: operator.add, _SUB: operator.sub, _MUL: operator.mul,
+          _NEG: operator.neg}
+_SYMBOLS = {_ADD: "+", _SUB: "-", _MUL: "*", _NEG: "neg"}
 
 
 @st.composite
@@ -40,26 +44,26 @@ def _programs(draw):
     """(variable names, expressions): up to four roots over a shared pool."""
     n = draw(st.integers(1, 3))
     names = [f"x{i}" for i in range(n)]
-    # recipe i: ("var", j) | ("const", c) | ("neg", a) | (op, a, b), a, b < i
+    # recipe i: (_VAR, j) | (_CONST, c) | (_NEG, a) | (kind, a, b), a, b < i
     recipes, degs = [], []
     for j in range(n):
-        recipes.append(("var", j))
+        recipes.append((_VAR, j))
         degs.append(1)
     for c in draw(st.lists(_consts, min_size=1, max_size=3)):
-        recipes.append(("const", c))
+        recipes.append((_CONST, c))
         degs.append(0)
     for _ in range(draw(st.integers(1, 12))):
-        op = draw(st.sampled_from(["+", "-", "*", "neg"]))
+        kind = draw(st.sampled_from([_ADD, _SUB, _MUL, _NEG]))
         a = draw(st.integers(0, len(recipes) - 1))
-        if op == "neg":
-            recipes.append(("neg", a))
+        if kind == _NEG:
+            recipes.append((_NEG, a))
             degs.append(degs[a])
             continue
         b = draw(st.integers(0, len(recipes) - 1))
-        deg = degs[a] + degs[b] if op == "*" else max(degs[a], degs[b])
+        deg = degs[a] + degs[b] if kind == _MUL else max(degs[a], degs[b])
         if deg > 4:
             continue
-        recipes.append((op, a, b))
+        recipes.append((kind, a, b))
         degs.append(deg)
 
     shared: dict[int, object] = {}
@@ -69,16 +73,12 @@ def _programs(draw):
         if not fresh and i in shared:
             return shared[i]
         kind, *args = recipes[i]
-        if kind == "var":
+        if kind == _VAR:
             e = Var(names[args[0]])
-        elif kind == "const":
+        elif kind == _CONST:
             e = Const(args[0])
-        elif kind == "neg":
-            e = Neg(build(args[0], draw(st.booleans())))
         else:
-            cls = {"+": Add, "-": Sub, "*": Mul}[kind]
-            e = cls(build(args[0], draw(st.booleans())),
-                    build(args[1], draw(st.booleans())))
+            e = Expr(kind, tuple(build(a, draw(st.booleans())) for a in args))
         if not fresh:
             shared[i] = e
         return e
@@ -118,16 +118,13 @@ def _exact(e, point, memo):
     """Exact value of e at a rational point."""
     key = id(e)
     if key not in memo:
-        if isinstance(e, Const):
-            memo[key] = Fraction(e.v)
-        elif isinstance(e, Var):
-            memo[key] = point[e.name]
-        elif isinstance(e, Neg):
-            memo[key] = -_exact(e.a, point, memo)
+        if e.kind == _CONST:
+            memo[key] = Fraction(e.arg)
+        elif e.kind == _VAR:
+            memo[key] = point[e.arg]
         else:
-            a, b = _exact(e.a, point, memo), _exact(e.b, point, memo)
-            memo[key] = (a * b if isinstance(e, Mul)
-                         else a + b if isinstance(e, Add) else a - b)
+            memo[key] = _ARITH[e.kind](*[_exact(a, point, memo)
+                                         for a in e.arg])
     return memo[key]
 
 
@@ -138,21 +135,19 @@ def _float_walk(e, point, memo):
     key = id(e)
     if key in memo:
         return memo[key]
-    if isinstance(e, Const):
-        out = e.v, Fraction(0)
-    elif isinstance(e, Var):
-        out = point[e.name], Fraction(0)
-    elif isinstance(e, Neg):
-        f, err = _float_walk(e.a, point, memo)
+    if e.kind == _CONST:
+        out = e.arg, Fraction(0)
+    elif e.kind == _VAR:
+        out = point[e.arg], Fraction(0)
+    elif e.kind == _NEG:
+        f, err = _float_walk(e.arg[0], point, memo)
         out = -f, err
     else:
-        fa, ea = _float_walk(e.a, point, memo)
-        fb, eb = _float_walk(e.b, point, memo)
-        if isinstance(e, Mul):
-            f = fa * fb
+        (fa, ea), (fb, eb) = (_float_walk(a, point, memo) for a in e.arg)
+        f = _ARITH[e.kind](fa, fb)
+        if e.kind == _MUL:
             err = abs(Fraction(fa)) * eb + abs(Fraction(fb)) * ea + ea * eb
         else:
-            f = fa + fb if isinstance(e, Add) else fa - fb
             err = ea + eb
         out = f, err + Fraction(math.ulp(f))
     memo[key] = out
@@ -167,55 +162,48 @@ def _imul_stacked(al, ah, bl, bh):
 def _ival_tree(e, LO, HI, idx):
     """Interval extension by a walk over the tree, with full-size arrays
     and the four corner products reduced as one stack."""
-    if isinstance(e, Const):
-        c = np.full(LO.shape[0], e.v)
+    if e.kind == _CONST:
+        c = np.full(LO.shape[0], e.arg)
         return c, c
-    if isinstance(e, Var):
-        return LO[:, idx[e.name]], HI[:, idx[e.name]]
-    al, ah = _ival_tree(e.a, LO, HI, idx)
-    if isinstance(e, Neg):
+    if e.kind == _VAR:
+        return LO[:, idx[e.arg]], HI[:, idx[e.arg]]
+    al, ah = _ival_tree(e.arg[0], LO, HI, idx)
+    if e.kind == _NEG:
         return -ah, -al
-    bl, bh = _ival_tree(e.b, LO, HI, idx)
-    if isinstance(e, Add):
+    bl, bh = _ival_tree(e.arg[1], LO, HI, idx)
+    if e.kind == _ADD:
         return _dn(al + bl), _up(ah + bh)
-    if isinstance(e, Sub):
+    if e.kind == _SUB:
         return _dn(al - bh), _up(ah - bl)
     return _imul_stacked(al, ah, bl, bh)
 
 
 def _names(e):
     """The names of the variables e reads, by a walk over the tree."""
-    if isinstance(e, Const):
+    if e.kind == _CONST:
         return set()
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return _names(e.a)
-    return _names(e.a) | _names(e.b)
+    if e.kind == _VAR:
+        return {e.arg}
+    return set().union(*map(_names, e.arg))
 
 
 def _degree(e):
     """The degree of e, by a walk over the tree."""
-    if isinstance(e, Const):
+    if e.kind == _CONST:
         return 0
-    if isinstance(e, Var):
+    if e.kind == _VAR:
         return 1
-    if isinstance(e, Neg):
-        return _degree(e.a)
-    a, b = _degree(e.a), _degree(e.b)
-    return a + b if isinstance(e, Mul) else max(a, b)
+    degs = [_degree(a) for a in e.arg]
+    return sum(degs) if e.kind == _MUL else max(degs)
 
 
 def _json_tree(e):
     """e as the nested lists of the program JSON, by a walk over the tree."""
-    if isinstance(e, Const):
-        return ["const", e.v]
-    if isinstance(e, Var):
-        return ["var", e.name]
-    if isinstance(e, Neg):
-        return ["neg", _json_tree(e.a)]
-    symbol = {Add: "+", Sub: "-", Mul: "*"}[type(e)]
-    return [symbol, _json_tree(e.a), _json_tree(e.b)]
+    if e.kind == _CONST:
+        return ["const", e.arg]
+    if e.kind == _VAR:
+        return ["var", e.arg]
+    return [_SYMBOLS[e.kind], *map(_json_tree, e.arg)]
 
 
 def _reads(e, idx):
@@ -238,28 +226,28 @@ def _grad_tree(e, LO, HI, idx):
     variables its node reads, and so is each partial product a db outside
     the variables of db."""
     n, N = LO.shape[1], LO.shape[0]
-    if isinstance(e, Const):
-        c, z = np.full(N, e.v), np.zeros((n, N))
+    if e.kind == _CONST:
+        c, z = np.full(N, e.arg), np.zeros((n, N))
         return c, c, z, z
-    if isinstance(e, Var):
+    if e.kind == _VAR:
         z = np.zeros((n, N))
-        z[idx[e.name]] = 1.0
-        return LO[:, idx[e.name]], HI[:, idx[e.name]], z, z
+        z[idx[e.arg]] = 1.0
+        return LO[:, idx[e.arg]], HI[:, idx[e.arg]], z, z
     mask = _reads(e, idx)
-    al, ah, Gal, Gah = _grad_tree(e.a, LO, HI, idx)
-    if isinstance(e, Neg):
+    al, ah, Gal, Gah = _grad_tree(e.arg[0], LO, HI, idx)
+    if e.kind == _NEG:
         return (-ah, -al, *_only(mask, -Gah, -Gal))
-    bl, bh, Gbl, Gbh = _grad_tree(e.b, LO, HI, idx)
-    if isinstance(e, Add):
+    bl, bh, Gbl, Gbh = _grad_tree(e.arg[1], LO, HI, idx)
+    if e.kind == _ADD:
         return (_dn(al + bl), _up(ah + bh),
                 *_only(mask, _dn(Gal + Gbl), _up(Gah + Gbh)))
-    if isinstance(e, Sub):
+    if e.kind == _SUB:
         return (_dn(al - bh), _up(ah - bl),
                 *_only(mask, _dn(Gal - Gbh), _up(Gah - Gbl)))
     vl, vh = _imul_stacked(al, ah, bl, bh)
-    pl, ph = _only(_reads(e.b, idx),
+    pl, ph = _only(_reads(e.arg[1], idx),
                    *_imul_stacked(al[None, :], ah[None, :], Gbl, Gbh))
-    ql, qh = _only(_reads(e.a, idx),
+    ql, qh = _only(_reads(e.arg[0], idx),
                    *_imul_stacked(bl[None, :], bh[None, :], Gal, Gah))
     return vl, vh, *_only(mask, _dn(pl + ql), _up(ph + qh))
 
@@ -361,13 +349,9 @@ def test_plain_values_round_the_exact_value(prog, data):
 
 def _copy(e):
     """e as a tree of new objects, with no node shared."""
-    if isinstance(e, Const):
-        return Const(e.v)
-    if isinstance(e, Var):
-        return Var(e.name)
-    if isinstance(e, Neg):
-        return Neg(_copy(e.a))
-    return type(e)(_copy(e.a), _copy(e.b))
+    if e.kind in (_CONST, _VAR):
+        return Expr(e.kind, e.arg)
+    return Expr(e.kind, tuple(map(_copy, e.arg)))
 
 
 @given(prog=_programs())
@@ -535,10 +519,10 @@ def _slab_program(draw, linear):
     roots = [t]
     for e in exprs:
         c = Const(draw(_consts))
-        term = draw(st.sampled_from([t, Mul(c, t), Mul(t, c), Neg(t)]))
-        e = draw(st.sampled_from([Add(e, term), Sub(e, term), Sub(term, e)]))
+        term = draw(st.sampled_from([t, c * t, t * c, -t]))
+        e = draw(st.sampled_from([e + term, e - term, term - e]))
         if draw(st.booleans()):
-            e = Mul(Const(draw(_consts)), e)
+            e = Const(draw(_consts)) * e
         roots.append(e)
     return names + ["t"], roots, len(names)
 
@@ -559,13 +543,11 @@ def _slabs(data, names, roots, j):
 
 def _renamed(e, prefix):
     """A copy of e with each variable name prefixed."""
-    if isinstance(e, Const):
+    if e.kind == _CONST:
         return e
-    if isinstance(e, Var):
-        return Var(prefix + e.name)
-    if isinstance(e, Neg):
-        return Neg(_renamed(e.a, prefix))
-    return type(e)(_renamed(e.a, prefix), _renamed(e.b, prefix))
+    if e.kind == _VAR:
+        return Var(prefix + e.arg)
+    return Expr(e.kind, tuple(_renamed(a, prefix) for a in e.arg))
 
 
 @given(data=st.data())
@@ -646,20 +628,6 @@ def _dense_enclose(tape, LO, HI):
     return out
 
 
-def _paper_programs():
-    progs = [build_theta2_program(), build_theta2_program(expanded=False)]
-    progs = [pytest.param(p, id=p.name) for p in progs]
-    for beta in (3.0, 3.4152):
-        for case in K2_CASES:
-            for reduced in (False, True):
-                p = build_k2_case_program(case, beta, reduced=reduced)
-                progs.append(pytest.param(p, id=f"{p.name}-beta{beta}"))
-    for case in THETA3_CASES:
-        p = build_theta3_case_program(case)
-        progs.append(pytest.param(p, id=p.name))
-    return progs
-
-
 def _sub_boxes(prog, count, rng):
     """Seeded sub-boxes of the program's box, from the full box down to
     points, with about one side in five of zero width."""
@@ -674,7 +642,8 @@ def _sub_boxes(prog, count, rng):
     return LO, HI
 
 
-@pytest.mark.parametrize("prog", _paper_programs())
+@pytest.mark.parametrize("prog", [pytest.param(p, id=name) for name, p
+                                  in paper_programs().items()])
 def test_paper_program_enclosures_match_a_dense_gradient_pass(prog):
     tape = prog._tape
     LO, HI = _sub_boxes(prog, 400, np.random.default_rng(11))

@@ -420,7 +420,7 @@ def _theta3_seeds(case: int):
 
 def solve_theta3(
     tol: float = 5e-4,
-    budget: int = 2_000_000,
+    budget: int = 3_000_000,
     bound_target: float = 0.2504,
     threads: int = 1,
 ) -> ThetaResult:
@@ -430,13 +430,15 @@ def solve_theta3(
     soon as its rigorous bound drops to bound_target, or at budget boxes.
     At the defaults cases 5 and 6 certify to within tol, each from a
     seeded feasible point at 0.25; the other six end BudgetExhausted at
-    bound_target, each still with a valid bound. The value is then case
-    5's certified bound (about 0.2505), not 0.25 plus the tolerance. The
-    solves take minutes: case 5 evaluates about 1.65M boxes and case 3
-    about 1.49M. The reported incumbent is the k = 3 lower-bound witness
-    with mean 0.25, independently audited by exact enumeration. threads
-    caps concurrent case solves without affecting any reported number;
-    cases 5 and 3, the longest, are started first.
+    bound_target, each still with a valid bound. The value is then the
+    certified bound of cases 5 and 6, 0.25 + 2^-11, not 0.25 plus the
+    tolerance. The solves take minutes: case 3 evaluates about 2.66M
+    boxes and case 5 about 2.08M, so the budget leaves both room (at 2M
+    boxes case 5 would stop near 0.2510). The reported incumbent is the
+    k = 3 lower-bound witness with mean 0.25, independently audited by
+    exact enumeration. threads caps concurrent case solves without
+    affecting any reported number; cases 5 and 3, the longest, are
+    started first.
     """
     run = partial(_solve_case, build=build_theta3_case_program,
                   seeds=_theta3_seeds, tol=tol, max_boxes=budget,

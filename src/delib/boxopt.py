@@ -24,18 +24,6 @@ or provably no better than the incumbent, and harvests incumbents from
 exactly evaluated midpoints plus projected coordinate ascent. Reported
 upper bounds are rigorous whether or not the run ends certified.
 
-When the objective is a bare variable, each kept child is also shaved:
-provably infeasible top slabs of that variable's range are cut off. Only
-the constraints that read that variable are tested: any other encloses a
-slab as it does the kept child. A slab lies inside its child, so the
-child's |gradient| bounds of those constraints serve the slab's centered
-form, and a slab costs one interval pass of their tape over its rows
-stacked with their centers, not a fresh gradient pass. The result is
-bit-identical to a fresh pass when the objective variable is never a
-factor of a product whose other factor is non-constant (as in every
-theta_3 case): then no gradient enclosure depends on that variable's
-range.
-
 Feasibility slack: incumbents may violate constraints by up to `FEAS_TOL`
 after exact evaluation, and infeasibility pruning leaves the same slack,
 so a slack-feasible incumbent can never sit inside a pruned box and
@@ -179,7 +167,7 @@ def _mid_rad(LO, HI):
 def _centered(vl, vh, ml, mh, RADT, mag):
     """The natural extension [vl, vh] intersected with the centered form
     [ml, mh] +- sum_j RADT_j mag_j, each term and partial sum rounded up.
-    mag is (variables x boxes), or stacks several expressions in front."""
+    mag is (variables x boxes)."""
     # terms and sums are >= +0: each rounds up by a bit step (_step_up)
     # on one of two buffers, and a NaN stepped from +inf is +inf again
     rad, term = np.zeros(ml.shape), np.empty(ml.shape)
@@ -222,8 +210,7 @@ class _Tape:
     gradient covers only those rows: every other partial derivative is
     exactly 0, so it is neither stored nor rounded. A gradient that does
     not depend on the box stays one column; numpy broadcasting gives the
-    same values as full rows. degs[r] is the degree of root r, and
-    nonlinear lists the roots of degree above 1.
+    same values as full rows. degs[r] is the degree of root r.
 
     names are the variables in index order; compiling rejects any other.
     """
@@ -283,7 +270,6 @@ class _Tape:
                 None if len(self.support[j]) == len(s)
                 else [s.index(v) for v in self.support[j]] for j in args))
         self.degs = [deg[i] for i in self.roots]
-        self.nonlinear = [r for r, d in enumerate(self.degs) if d > 1]
 
     def obj(self, i):
         """Op i as the nested lists of the program JSON; a merged subtree
@@ -375,28 +361,6 @@ class _Tape:
             return vl, vh, mag
 
         return self._run(leaf, grad, reduce)
-
-    def enclose_within(self, LO, HI, mags):
-        """Sound enclosures (lo, hi) of the roots over boxes that lie inside
-        boxes already enclosed: mags stacks the |gradient| bounds of the
-        nonlinear roots over the enclosing boxes (nonlinear roots x
-        variables x boxes). Those bounds hold on every sub-box, so the
-        centered form needs only one interval pass over the boxes stacked
-        with their centers, and no gradient pass. A root that does not
-        read a coordinate where the boxes shrank gets its enclosure over
-        the enclosing boxes."""
-        N = LO.shape[0]
-        MID, RADT = _mid_rad(LO, HI)
-        both = self.ival(np.concatenate([LO, MID]), np.concatenate([HI, MID]))
-        out = [(lo[:N], hi[:N]) for lo, hi in both]
-        if self.nonlinear:
-            # (nonlinear roots, lo/hi, boxes then centers)
-            B = np.array([both[r] for r in self.nonlinear])
-            vl, vh = _centered(B[:, 0, :N], B[:, 1, :N], B[:, 0, N:],
-                               B[:, 1, N:], RADT, mags)
-            for i, r in enumerate(self.nonlinear):
-                out[r] = vl[i], vh[i]
-        return out
 
 
 @dataclass(frozen=True)
@@ -564,7 +528,6 @@ def _split_dim(lo: np.ndarray, hi: np.ndarray) -> int:
     return -1
 
 
-_SHAVE_FRACS = (0.5, 0.5, 0.25, 0.25, 0.125, 0.125)
 _EPOCH_SIZE = 256     # boxes popped and split per batched pass
 
 
@@ -615,25 +578,8 @@ def solve_global(
         if ok[0]:
             consider(*_coordinate_ascent(prog, x, float(v[0])))
 
-    kind, arg = tape.ops[tape.roots[0]]
-    obj_j = arg if kind == _VAR else None    # objective is a bare variable
-    # The shave tests only the constraints that read obj_j: any other one
-    # has the same enclosure on a slab as on its kept box, so never chops.
-    reads = [i for i, r in enumerate(tape.roots[1:])
-             if obj_j in tape.support[r]]      # none when obj_j is None
-    slab_cons = [prog.constraints[i] for i in reads]
-    slab_tape = _Tape([c.expr for c in slab_cons], prog.var_names)
-    stored = {i for i in reads if tape.degs[i + 1] > 1}   # MAGS rows
-
-    def violated(c, gl, gh):
-        if c.relation == ">=":
-            return gh < c.rhs - FEAS_TOL
-        return gl > c.rhs + FEAS_TOL
-
     def child_bounds(LO, HI, root=False):
-        """Per box: objective upper bound, infeasibility flag, split dim,
-        and the |gradient| bounds of the nonlinear constraints the shave
-        tests.
+        """Per box: objective upper bound, infeasibility flag and split dim.
 
         The gradients driving the centered form also drive smear-based
         branching (split where |grad| x width is largest over the objective
@@ -652,50 +598,23 @@ def solve_global(
         ol, oh, omag = next(roots)
         smear = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
-        mags = []
-        for i, (c, (gl, gh, gmag)) in enumerate(zip(prog.constraints, roots)):
-            infeas |= violated(c, gl, gh)
-            active = gl < c.rhs if c.relation == ">=" else gh > c.rhs
+        for c, (gl, gh, gmag) in zip(prog.constraints, roots):
+            if c.relation == ">=":
+                infeas |= gh < c.rhs - FEAS_TOL
+                active = gl < c.rhs
+            else:
+                infeas |= gl > c.rhs + FEAS_TOL
+                active = gh > c.rhs
             smear += gmag * RADT * active[None, :]
-            if i in stored:
-                mags.append(gmag)
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
-            return oh, infeas, np.argmax((HI - LO).T / scale.T, axis=0), mags
-        return oh, infeas, np.argmax(smear, axis=0), mags
-
-    def shave_objective(LO, HI, MAGS):
-        """When the objective is a bare variable, chop provably infeasible
-        top slabs off its dimension. Contraction, not branching: every
-        feasible point survives, and each box's objective bound drops to
-        its new upper edge. A slab lies inside its box, so the box's
-        nonlinear-constraint gradient bounds MAGS serve every slab. A
-        repeated fraction re-tests only the boxes the previous round
-        chopped: any other box would test the same slab."""
-        test = np.arange(LO.shape[0])
-        for k, frac in enumerate(_SHAVE_FRACS):
-            if k == 0 or frac != _SHAVE_FRACS[k - 1]:
-                test = np.arange(LO.shape[0])
-            s = (HI[test, obj_j] - LO[test, obj_j]) * frac
-            live = s > 0
-            test, s = test[live], s[live]
-            if not test.size:
-                continue
-            SLO, SHI = LO[test], HI[test]
-            SLO[:, obj_j] = SHI[:, obj_j] - s
-            cons = slab_tape.enclose_within(SLO, SHI, MAGS[:, :, test])
-            chop = np.zeros(test.size, dtype=bool)
-            for c, (gl, gh) in zip(slab_cons, cons):
-                chop |= violated(c, gl, gh)
-            test = test[chop]
-            HI[test, obj_j] -= s[chop]
-        return HI[:, obj_j].copy()
+            return oh, infeas, np.argmax((HI - LO).T / scale.T, axis=0)
+        return oh, infeas, np.argmax(smear, axis=0)
 
     lo0, hi0 = prog.lower.copy(), prog.upper.copy()
     if (np.abs([lo0, hi0]) > np.finfo(float).max / 2).any():
         raise ValueError("variable bounds too large: box centers overflow")
-    ub0, infeas0, sdim0, _ = child_bounds(lo0[None, :], hi0[None, :],
-                                          root=True)
+    ub0, infeas0, sdim0 = child_bounds(lo0[None, :], hi0[None, :], root=True)
     boxes = 1
     residual = -math.inf          # sup over dropped undecided slivers
     heap: list = []
@@ -747,7 +666,7 @@ def solve_global(
             # box too small to split: try its corner exactly, keep the
             # enclosure's upper bound so the final bound stays rigorous
             try_point(lo)
-            ub1, inf1, _, _ = child_bounds(lo[None, :], hi[None, :])
+            ub1, inf1, _ = child_bounds(lo[None, :], hi[None, :])
             if not inf1[0]:
                 residual = max(residual, float(ub1[0]))
         if not split.any():
@@ -760,19 +679,9 @@ def solve_global(
         HI[rows[0::2], J[0::2]] = M[0::2]
         LO[rows[1::2], J[1::2]] = M[1::2]
         boxes += LO.shape[0]
-        ubs, infeas, sdims, mags = child_bounds(LO, HI)
+        ubs, infeas, sdims = child_bounds(LO, HI)
 
         keep = ~infeas
-        kidx = np.flatnonzero(keep)
-        if obj_j is not None and kidx.size:
-            KHI = HI[kidx]
-            MAGS = np.empty((len(mags), prog.n, kidx.size))
-            for i, m in enumerate(mags):
-                MAGS[i] = m[:, kidx]
-            del mags    # before the shave, which sets the peak memory of a solve
-            new_ubs = shave_objective(LO[kidx], KHI, MAGS)
-            HI[kidx] = KHI
-            ubs[kidx] = new_ubs
         mids = 0.5 * (LO[keep] + HI[keep])
         if mids.size:
             feas, vals = _evaluate(prog, mids)

@@ -237,12 +237,17 @@ def _cmd_solve_avg(args) -> int:
     else:
         res = solve_theta3(threads=args.threads,
                            **_given(tol=args.tol, budget=args.budget))
-    det_lb, rand_lb = lower_bounds_from_theta(res.value)
+    # a small budget can leave theta_3's bound at 1: rigorous, but the
+    # bound formulas need theta < 1, so those fields are null
+    vacuous = res.value >= 1.0
+    det_lb, rand_lb = ((None, None) if vacuous
+                       else lower_bounds_from_theta(res.value))
     payload = json.loads(res.to_json())
     payload.update({
         "theta_lower_closed_form": theta_lower_bound_closed_form(args.k),
         "theta_upper_closed_form": theta_upper_bound_closed_form(args.k),
-        "copeland_distortion_upper": copeland_distortion_from_theta(res.value),
+        "copeland_distortion_upper": (
+            None if vacuous else copeland_distortion_from_theta(res.value)),
         "det_lb_at_bound": det_lb,
         "rand_lb_at_bound": rand_lb,
     })
@@ -354,7 +359,8 @@ def _cmd_reproduce_tables(args) -> int:
         (2, THETA2, t2.value, k2_upper,
          lower_bounds_from_theta(THETA2)[0]),
         (3, theta_lower_bound_closed_form(3), t3.value,
-         copeland_distortion_from_theta(t3.value),
+         (math.nan if t3.value >= 1.0
+          else copeland_distortion_from_theta(t3.value)),
          lower_bounds_from_theta(theta_lower_bound_closed_form(3))[0]),
     ]
     _write(_csv_text("reproduce-tables", config,

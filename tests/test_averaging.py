@@ -131,7 +131,7 @@ def test_solve_theta3_gives_every_case_one_stopping_rule(monkeypatch):
     for name, kw in calls.items():
         case = int(name.removeprefix("theta3-case").removesuffix("-reduced"))
         assert kw["bound_target"] == 0.2504, name
-        assert (kw["tol"], kw["max_boxes"]) == (5e-4, 2_000_000), name
+        assert (kw["tol"], kw["max_boxes"]) == (5e-4, 3_000_000), name
         assert kw["seeds"] == _theta3_seeds(case), name
 
 

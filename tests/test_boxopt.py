@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 
@@ -18,7 +17,6 @@ from delib.boxopt import (
     BoxProgram,
     Var,
     _coordinate_ascent,
-    _Tape,
     _evaluate,
     interval_eval,
     solve_global,
@@ -211,18 +209,18 @@ def test_batched_ascent_takes_the_scalar_loops_moves(prog):
 
 
 # solve_theta3's tol and seeds, no bound target; (case, branching, budget)
-# -> (boxes, bound, status), taken before the objective shave reused the
-# enclosing box's gradient bounds
+# -> (boxes, bound, status). The objective is the bare variable th, so a
+# box's bound is its upper th edge, a dyadic split point of [0, 1].
 _THETA3_TRAJECTORIES = {
-    (1, "smear", 6000): (6465, 0.4417088031768799, BUDGET_EXHAUSTED),
-    (2, "smear", 6000): (6259, 0.4365234375, BUDGET_EXHAUSTED),
-    (3, "smear", 6000): (6487, 0.5, BUDGET_EXHAUSTED),
-    (4, "smear", 6000): (6045, 0.3980712890625, BUDGET_EXHAUSTED),
-    (5, "smear", 6000): (6507, 0.53460693359375, BUDGET_EXHAUSTED),
-    (6, "smear", 6000): (6443, 0.3808441162109375, BUDGET_EXHAUSTED),
-    (7, "smear", 6000): (6465, 0.470703125, BUDGET_EXHAUSTED),
-    (8, "smear", 6000): (6177, 0.56341552734375, BUDGET_EXHAUSTED),
-    (8, "widest", 3000): (3273, 0.6875, BUDGET_EXHAUSTED),
+    (1, "smear", 6000): (6439, 0.4375, BUDGET_EXHAUSTED),
+    (2, "smear", 6000): (6229, 0.4375, BUDGET_EXHAUSTED),
+    (3, "smear", 6000): (6451, 0.625, BUDGET_EXHAUSTED),
+    (4, "smear", 6000): (6503, 0.4375, BUDGET_EXHAUSTED),
+    (5, "smear", 6000): (6503, 0.625, BUDGET_EXHAUSTED),
+    (6, "smear", 6000): (6465, 0.4375, BUDGET_EXHAUSTED),
+    (7, "smear", 6000): (6041, 0.5, BUDGET_EXHAUSTED),
+    (8, "smear", 6000): (6089, 0.625, BUDGET_EXHAUSTED),
+    (8, "widest", 3000): (3429, 0.75, BUDGET_EXHAUSTED),
 }
 
 
@@ -260,28 +258,6 @@ def test_k2_search_trajectory_pinned(key):
     assert (res.boxes, res.bound, res.status) == _K2_TRAJECTORIES[key]
 
 
-def test_objective_shave_makes_no_gradient_pass(monkeypatch):
-    # every slab reuses its box's gradient bounds: the only gradient passes
-    # are child_bounds' own, while the shave runs enclose_within
-    callers, slab_passes = [], []
-    enclose, within = _Tape.enclose, _Tape.enclose_within
-
-    def counted_enclose(self, LO, HI):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return enclose(self, LO, HI)
-
-    def counted_within(self, LO, HI, mags):
-        slab_passes.append(LO.shape[0])
-        return within(self, LO, HI, mags)
-
-    monkeypatch.setattr(_Tape, "enclose", counted_enclose)
-    monkeypatch.setattr(_Tape, "enclose_within", counted_within)
-    res = _solve_theta3_capped(8, "smear", 3000)
-    assert res.boxes >= 3000
-    assert callers and set(callers) == {"child_bounds"}
-    assert slab_passes
-
-
 def test_overflowing_root_enclosure_is_rejected():
     # 0 * inf makes the objective enclosure NaN; a NaN box used to be
     # dropped, certifying a false maximum of 0 after one box
@@ -297,22 +273,3 @@ def test_bounds_whose_box_centers_overflow_are_rejected():
     prog = BoxProgram([("x", -1.0, 1.7e308)], x, [(x, "<=", 1.0)])
     with pytest.raises(ValueError, match="too large"):
         solve_global(prog)
-
-
-@pytest.mark.parametrize("case, count", [(7, 8), (8, 7)])
-def test_objective_shave_tests_only_constraints_reading_the_objective(
-        monkeypatch, case, count):
-    prog = build_theta3_case_program(case)
-    tape, th = prog._tape, prog.var_names.index("th")
-    reads = [tape.obj(r) for r in tape.roots[1:] if th in tape.support[r]]
-    assert len(reads) == count < len(prog.constraints)
-    shaved = []
-    within = _Tape.enclose_within
-
-    def recorded(self, LO, HI, mags):
-        shaved.append([self.obj(r) for r in self.roots])
-        return within(self, LO, HI, mags)
-
-    monkeypatch.setattr(_Tape, "enclose_within", recorded)
-    _solve_theta3_capped(case, "smear", 600)
-    assert shaved and all(s == reads for s in shaved)

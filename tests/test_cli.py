@@ -215,6 +215,17 @@ def test_solve_avg_k2_rejects_a_box_budget(capsys):
     assert captured.err == "usage error: --budget applies to --k 3 only\n"
 
 
+def test_solve_avg_reports_a_vacuous_theta3_bound(capsys):
+    # at 100 boxes some case bound is still th's root edge 1: rigorous, but
+    # outside the bound formulas' domain, so their fields are null
+    assert main(["solve-avg", "--k", "3", "--budget", "100"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == 1.0
+    for key in ("copeland_distortion_upper", "det_lb_at_bound",
+                "rand_lb_at_bound"):
+        assert payload[key] is None, key
+
+
 def test_solve_random_payload(capsys):
     assert main(["solve-random", "--k", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -282,5 +293,9 @@ def test_reproduce_tables_files_and_thread_invariance(tmp_path):
     rows = (outs[0] / "table1.csv").read_text().strip().split("\n")[2:]
     k3 = dict(zip(headers["table1.csv"].split(","), rows[1].split(",")))
     assert k3["k"] == "3"
-    assert float(k3["copeland_upper"]) == copeland_distortion_from_theta(
-        float(k3["theta_upper"]))
+    if float(k3["theta_upper"]) >= 1.0:
+        # a vacuous bound of 1 is still written, with no distortion bound
+        assert k3["copeland_upper"] == "nan"
+    else:
+        assert float(k3["copeland_upper"]) == copeland_distortion_from_theta(
+            float(k3["theta_upper"]))

@@ -7,8 +7,8 @@ cases) is compared with `tests/data/golden_programs.json`, so a drift in
 how a program is built or compiled fails here before any solve. Each
 solve's full `GlobalOptimum` JSON (point, value, bound, gap, boxes,
 status) is compared with `tests/data/golden_solves.json`, floats stored as
-float.hex, so a change to the interval arithmetic, the branching or the
-shave shows here as a changed float, not only as a moved box count. The
+float.hex, so a change to the interval arithmetic or the branching
+shows here as a changed float, not only as a moved box count. The
 theta_3 cases come from the session's shared `theta3_run`, so they cost
 no extra solve. After a deliberate change to the programs or the search,
 rewrite the fixtures with

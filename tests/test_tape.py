@@ -100,20 +100,6 @@ def _boxes(draw, n):
     return lo, hi
 
 
-@st.composite
-def _narrow_boxes(draw, n):
-    """A few boxes over n variables, each side at most 4 wide and often
-    narrow, where the centered form beats the natural extension."""
-    rows = draw(st.integers(1, 4))
-    lo, hi = np.empty((rows, n)), np.empty((rows, n))
-    for r in range(rows):
-        for j in range(n):
-            c = draw(_coords)
-            h = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 2.0]))
-            lo[r, j], hi[r, j] = c - h, c + h
-    return lo, hi
-
-
 def _exact(e, point, memo):
     """Exact value of e at a rational point."""
     key = id(e)
@@ -372,7 +358,6 @@ def test_degrees_and_variables_match_tree_walk(prog):
     names, exprs = prog
     tape = _Tape(exprs, names)
     assert tape.degs == [_degree(e) for e in exprs]
-    assert tape.nonlinear == [r for r, e in enumerate(exprs) if _degree(e) > 1]
     for i, e in zip(tape.roots, exprs):
         assert tape.support[i] == sorted(map(names.index, _names(e)))
 
@@ -504,89 +489,6 @@ def test_centered_form_on_a_huge_radius_is_the_natural_extension():
     with np.errstate(over="ignore", invalid="ignore"):
         got = _centered(vl, vh, ml, ml, RADT, mag)
     assert _same_bits(got[0], vl) and _same_bits(got[1], vh)
-
-
-def _slab_program(draw, linear):
-    """(names, roots, j): roots[0] is the bare variable names[j]. With
-    linear, that variable enters each other root only through sums and
-    products with a constant; otherwise it is one of the random program's
-    variables and may sit in any product."""
-    names, exprs = draw(_programs())
-    if not linear:
-        j = draw(st.integers(0, len(names) - 1))
-        return names, [Var(names[j])] + exprs, j
-    t = Var("t")
-    roots = [t]
-    for e in exprs:
-        c = Const(draw(_consts))
-        term = draw(st.sampled_from([t, c * t, t * c, -t]))
-        e = draw(st.sampled_from([e + term, e - term, term - e]))
-        if draw(st.booleans()):
-            e = Const(draw(_consts)) * e
-        roots.append(e)
-    return names + ["t"], roots, len(names)
-
-
-def _slabs(data, names, roots, j):
-    """Tape, boxes, their enclosures, and top slabs of the boxes in
-    coordinate j with the boxes' nonlinear |gradient| bounds."""
-    tape = _Tape(roots, names)
-    LO, HI = data.draw(_narrow_boxes(len(names)))
-    encl = list(tape.enclose(LO, HI))
-    mags = np.array([encl[r][2] for r in tape.nonlinear]).reshape(
-        len(tape.nonlinear), len(names), LO.shape[0])
-    frac = data.draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
-    SLO = LO.copy()
-    SLO[:, j] = np.maximum(LO[:, j], HI[:, j] - (HI[:, j] - LO[:, j]) * frac)
-    return tape, encl, SLO, HI, mags
-
-
-def _renamed(e, prefix):
-    """A copy of e with each variable name prefixed."""
-    if e.kind == _CONST:
-        return e
-    if e.kind == _VAR:
-        return Var(prefix + e.arg)
-    return Expr(e.kind, tuple(_renamed(a, prefix) for a in e.arg))
-
-
-@given(data=st.data())
-def test_slab_enclosures_match_a_fresh_pass_when_the_variable_is_linear(data):
-    names, roots, j = _slab_program(data.draw, linear=True)
-    tape, _, SLO, SHI, mags = _slabs(data, names, roots, j)
-    fresh = list(tape.enclose(SLO, SHI))
-    for got, want in zip(tape.enclose_within(SLO, SHI, mags), fresh):
-        assert all(map(_same_bits, got, want[:2]))
-
-
-@given(data=st.data())
-def test_slab_enclosures_of_roots_not_reading_the_variable_are_the_boxes(data):
-    # why the objective shave skips constraints that do not read the
-    # objective variable: on every slab they enclose as on the box itself
-    names, roots, j = _slab_program(data.draw, linear=data.draw(st.booleans()))
-    other_names, others = data.draw(_programs())
-    others = [_renamed(e, "u") for e in others]
-    tape, encl, SLO, SHI, mags = _slabs(
-        data, names + ["u" + name for name in other_names], roots + others, j)
-    got = tape.enclose_within(SLO, SHI, mags)
-    for r in range(len(roots), len(roots) + len(others)):
-        assert all(map(_same_bits, got[r], encl[r][:2]))
-
-
-@given(data=st.data())
-def test_slab_enclosures_contain_exact_values(data):
-    names, roots, j = _slab_program(data.draw, linear=False)
-    tape, _, SLO, SHI, mags = _slabs(data, names, roots, j)
-    got = tape.enclose_within(SLO, SHI, mags)
-    natural = tape.ival(SLO, SHI)
-    for row in range(SLO.shape[0]):
-        for x in _rational_points(data, SLO[row], SHI[row]):
-            point = dict(zip(names, x))
-            for r, e in enumerate(roots):
-                v = _exact(e, point, {})
-                assert got[r][0][row] <= v <= got[r][1][row]
-                assert natural[r][0][row] <= got[r][0][row]
-                assert got[r][1][row] <= natural[r][1][row]
 
 
 def _dense_enclose(tape, LO, HI):

@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .boxopt import (
+    BUDGET_EXHAUSTED,
+    CERTIFIED,
     BoxProgram,
+    Const,
     GlobalOptimum,
     Var,
     solve_global,
@@ -196,31 +199,22 @@ def _k2_objective(case: int, beta: float, B, p, q, r, s, t):
     )
 
 
-def build_k2_case_program(case: int, beta: float, reduced: bool = False) -> BoxProgram:
+def build_k2_case_program(case: int, beta: float) -> BoxProgram:
     """Non-convex program whose nonpositive maximum certifies distortion
     <= 1 + beta for the given case of the gap variable B.
 
-    The full form carries all five support probabilities with the unit-sum
-    equality as paired inequalities. The reduced form eliminates r via
-    r = 1 - p - q - s - t (an exact reparametrization, not a relaxation),
-    which removes the equality and speeds up the solver.
+    It carries B and all five support probabilities, with the unit-sum
+    equality as paired inequalities. Case 1 has B in [0, 1]; case 2 keeps
+    B in [1, 100] as a box, though `solve_copeland_k2` certifies it for
+    every B >= 1. The solver works on the programs of
+    `build_k2_part_program`, and certificates are reported on these.
     """
     if case not in K2_CASES:
         raise ValueError(f"case must be 1 or 2, got {case}")
     if beta <= 0:
         raise ValueError("beta must be positive")
     b_rng = (0.0, 1.0) if case == 1 else (1.0, 100.0)
-    B, p, q, s, t = Var("B"), Var("p"), Var("q"), Var("s"), Var("t")
-    if reduced:
-        r = 1 - p - q - s - t
-        win = (p + q) ** 2 + 2 * p * (r + s) + 2 * q * r
-        return BoxProgram(
-            [("B", *b_rng), ("p", 0, 1), ("q", 0, 1), ("s", 0, 1), ("t", 0, 1)],
-            _k2_objective(case, beta, B, p, q, r, s, t),
-            [(win, "<=", 0.5), (p + q + s + t, "<=", 1.0)],
-            name=f"copeland-k2-case{case}-reduced",
-        )
-    r = Var("r")
+    B, p, q, r, s, t = (Var(v) for v in "Bpqrst")
     win = (p + q) ** 2 + 2 * p * (r + s) + 2 * q * r
     total = p + q + r + s + t
     return BoxProgram(
@@ -232,16 +226,123 @@ def build_k2_case_program(case: int, beta: float, reduced: bool = False) -> BoxP
     )
 
 
-def _k2_seeds(case: int):
+K2_PARTS = ("B1", "B0", "slope")
+
+
+def build_k2_part_program(part: str, beta: float) -> BoxProgram:
+    """One of the three programs in (p, q, s, t) that certify the k = 2
+    chain without B.
+
+    r = 1 - p - q - s - t is eliminated, an exact reparametrization that
+    turns the unit sum into p + q + s + t <= 1. The feasible set does not
+    depend on B, and each case objective is affine in B, so:
+      * "B1" is the objective at B = 1, where both cases' objectives agree
+        (built from case 1's);
+      * "B0" is case 1's objective at B = 0, its other endpoint;
+      * "slope" is case 2's B-slope, its objective at B = 1 minus its
+        objective at B = 0. Where it is negative, case 2's maximum over
+        B >= 1 is its maximum at B = 1.
+    Each objective is `_k2_objective` with B a constant, so it shares the
+    full programs' constants and arithmetic.
+    """
+    if part not in K2_PARTS:
+        raise ValueError(f"part must be one of {K2_PARTS}, got {part!r}")
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    p, q, s, t = (Var(v) for v in "pqst")
+    r = 1 - p - q - s - t
+
+    def at(case, b):
+        return _k2_objective(case, beta, Const(b), p, q, r, s, t)
+
+    if part == "B1":
+        objective = at(1, 1.0)
+    elif part == "B0":
+        objective = at(1, 0.0)
+    else:
+        objective = at(2, 1.0) - at(2, 0.0)
+    win = (p + q) ** 2 + 2 * p * (r + s) + 2 * q * r
+    return BoxProgram(
+        [("p", 0, 1), ("q", 0, 1), ("s", 0, 1), ("t", 0, 1)],
+        objective,
+        [(win, "<=", 0.5), (p + q + s + t, "<=", 1.0)],
+        name=f"copeland-k2-{part}",
+    )
+
+
+def _k2_seeds():
     """Feasible warm starts; the first is tight at beta = 2 + sqrt(2)."""
-    inv_rt2 = math.sqrt(0.5)
-    base = {"B": 1.0, "p": 1.0 - inv_rt2, "q": 0.0, "s": 0.0, "t": 0.0}
-    corners = [
-        base,
-        {"B": 1.0, "p": 0.0, "q": 0.0, "s": 0.0, "t": 0.0},
-        {"B": 1.0, "p": 0.0, "q": 0.0, "s": 0.0, "t": 1.0},
-    ]
-    return corners
+    zero = {"p": 0.0, "q": 0.0, "s": 0.0, "t": 0.0}
+    return [{**zero, "p": 1.0 - math.sqrt(0.5)}, zero, {**zero, "t": 1.0}]
+
+
+def _solve_k2_part(part, beta, targets, **solve_kw):
+    """Solve one part program, stopping at its entry in `targets` if any.
+    Module level, so a partial of it pickles for `_solve_cases`."""
+    return solve_global(build_k2_part_program(part, beta), seeds=_k2_seeds(),
+                        bound_target=targets.get(part), **solve_kw)
+
+
+def solve_k2_parts(
+    beta_distortion: float,
+    tol: float = 1e-4,
+    max_boxes: int = 2_000_000,
+    threads: int = 1,
+) -> dict[str, GlobalOptimum]:
+    """Certificates of the three part programs, keyed by part.
+
+    B1 is solved first, to within tol. B0 then stops once its bound is at
+    or below B1's, where it can no longer raise case 1's bound, and the
+    slope stops once its bound is at or below 0. Each solve has max_boxes
+    boxes. threads caps how many of the last two solve concurrently; each
+    solve is deterministic, so the result does not depend on it.
+    """
+    if beta_distortion <= 0:
+        raise ValueError("beta_distortion must be positive")
+    run = partial(_solve_k2_part, beta=beta_distortion, tol=tol,
+                  max_boxes=max_boxes)
+    b1 = run("B1", targets={})
+    rest = _solve_cases(partial(run, targets={"B0": b1.bound, "slope": 0.0}),
+                        ("B0", "slope"), threads)
+    return {"B1": b1, **rest}
+
+
+def _k2_certificate(case, ends, bound, boxes):
+    """A case certificate on the full program from the part solves in
+    `ends` (B value -> GlobalOptimum): the best incumbent among them, with
+    B and r put back into its point."""
+    tol = ends[1.0].tol
+    b = max((b for b, o in ends.items() if o.point is not None),
+            key=lambda b: ends[b].value, default=None)
+    point = value = None
+    if b is not None:
+        x, value = ends[b].point, ends[b].value
+        point = {"B": b, "p": x["p"], "q": x["q"],
+                 "r": 1.0 - x["p"] - x["q"] - x["s"] - x["t"],
+                 "s": x["s"], "t": x["t"]}
+    gap = math.inf if value is None else bound - value
+    return GlobalOptimum(
+        point=point, value=value, bound=bound, gap=gap, boxes=boxes,
+        status=CERTIFIED if gap <= tol else BUDGET_EXHAUSTED, tol=tol,
+        program=f"copeland-k2-case{case}",
+    )
+
+
+def k2_case_certificates(
+    parts: dict[str, GlobalOptimum],
+) -> tuple[GlobalOptimum, GlobalOptimum]:
+    """Both case certificates from the part certificates of
+    `solve_k2_parts`. Case 1's bound is the larger of its endpoint bounds.
+    Case 2's is B1's bound where the slope's bound is negative, and +inf
+    (not certified) otherwise. Each case counts the boxes of the solves
+    its bound rests on."""
+    b1, b0, slope = (parts[k] for k in K2_PARTS)
+    case1 = _k2_certificate(1, {1.0: b1, 0.0: b0}, max(b1.bound, b0.bound),
+                            b1.boxes + b0.boxes)
+    case2 = _k2_certificate(2, {1.0: b1},
+                            b1.bound if slope.bound < 0 else math.inf,
+                            b1.boxes + slope.boxes)
+    return case1, case2
 
 
 def solve_copeland_k2(
@@ -253,28 +354,15 @@ def solve_copeland_k2(
     """Certified maxima of both case programs at the given beta.
 
     Both maxima strictly negative certifies that the Copeland chain
-    argument gives distortion <= 1 + beta. Internally solves the reduced
-    five-variable forms and reports the certificates on the full
-    six-variable programs (the reduction is an exact reparametrization, so
-    values and bounds transfer unchanged). threads caps how many case
-    programs solve concurrently; each solve is deterministic, so the
-    result does not depend on it.
+    argument gives distortion <= 1 + beta, for every B >= 0. The three
+    4-variable solves of `solve_k2_parts` give the certificates, reported
+    on the full six-variable programs of `build_k2_case_program` (the
+    reparametrization is exact, so values and bounds transfer unchanged).
+    max_boxes caps each of the three solves. threads > 1 runs the B0 and
+    slope solves concurrently and does not change the result.
     """
-    if beta_distortion <= 0:
-        raise ValueError("beta_distortion must be positive")
-    build = partial(build_k2_case_program, beta=beta_distortion, reduced=True)
-    run = partial(_solve_case, build=build, seeds=_k2_seeds, tol=tol,
-                  max_boxes=max_boxes)
-    solved = _solve_cases(run, K2_CASES, threads)
-    out = []
-    for case in K2_CASES:
-        opt = solved[case]
-        point = None
-        if opt.point is not None:
-            point = dict(opt.point)
-            point["r"] = 1.0 - point["p"] - point["q"] - point["s"] - point["t"]
-        out.append(replace(opt, point=point, program=f"copeland-k2-case{case}"))
-    return out[0], out[1]
+    return k2_case_certificates(
+        solve_k2_parts(beta_distortion, tol, max_boxes, threads))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,16 @@
 
 Interval branch and bound. Every interval arithmetic step is widened one
 ulp outward (epsilon inflation), so enclosures stay sound without touching
-the FPU rounding mode. The centered form's radius is, per coordinate, the
-distance from the box's center to its farther edge, rounded up. Being
-nonnegative, the radius's terms and sums round up by adding one to their
-int64 bits, as `np.nextafter` would.
+the FPU rounding mode. Each nonlinear expression's natural extension is
+intersected with its centered form, and so is each linear expression that
+reads some variable more than once: in q + (1 - p - q) the natural
+extension counts q's width twice, while the centered form's gradient sees
+that the two reads cancel. A linear expression that reads each variable
+once keeps its natural extension, which is exact up to rounding. The
+centered form's radius is, per coordinate, the distance from the box's
+center to its farther edge, rounded up. Being nonnegative, the radius's
+terms and sums round up by adding one to their int64 bits, as
+`np.nextafter` would.
 
 Expression nodes carry the tape's own (kind, arg) encoding. Each program
 is compiled once into a tape: its objective and constraints as one
@@ -167,13 +173,13 @@ def _mid_rad(LO, HI):
 def _centered(vl, vh, ml, mh, RADT, mag):
     """The natural extension [vl, vh] intersected with the centered form
     [ml, mh] +- sum_j RADT_j mag_j, each term and partial sum rounded up.
-    mag is (variables x boxes)."""
+    RADT and mag are (variables x boxes); a row of mag may be one column."""
     # terms and sums are >= +0: each rounds up by a bit step (_step_up)
     # on one of two buffers, and a NaN stepped from +inf is +inf again
     rad, term = np.zeros(ml.shape), np.empty(ml.shape)
     rad_bits, term_bits = rad.view(np.int64), term.view(np.int64)
-    for j, r in enumerate(RADT):
-        np.multiply(r, mag[..., j, :], out=term)
+    for r, g in zip(RADT, mag):
+        np.multiply(r, g, out=term)
         term_bits += 1
         rad += term
         rad_bits += 1
@@ -210,7 +216,8 @@ class _Tape:
     gradient covers only those rows: every other partial derivative is
     exactly 0, so it is neither stored nor rounded. A gradient that does
     not depend on the box stays one column; numpy broadcasting gives the
-    same values as full rows. degs[r] is the degree of root r.
+    same values as full rows. degs[r] is the degree of root r, and
+    centered[r] whether `enclose` gives it the centered form.
 
     names are the variables in index order; compiling rejects any other.
     """
@@ -256,6 +263,9 @@ class _Tape:
         self.support: list[list[int]] = []
         self._rows: list[tuple] = []
         deg: list[int] = []
+        # repeats[i]: op i reads some variable more than once, as when
+        # its operands' supports overlap or one operand is read twice
+        repeats: list[bool] = []
         for (kind, arg), args in zip(self.ops, operands):
             if kind == _CONST:
                 s, d = [], 0
@@ -266,10 +276,15 @@ class _Tape:
                 d = (sum if kind == _MUL else max)(deg[j] for j in args)
             self.support.append(s)
             deg.append(d)
+            repeats.append(any(repeats[j] for j in args)
+                           or sum(len(self.support[j]) for j in args) > len(s))
             self._rows.append(tuple(
                 None if len(self.support[j]) == len(s)
                 else [s.index(v) for v in self.support[j]] for j in args))
         self.degs = [deg[i] for i in self.roots]
+        # a linear root's natural extension overestimates only where it
+        # reads a variable twice, as in x - x
+        self.centered = [deg[i] > 1 or repeats[i] for i in self.roots]
 
     def obj(self, i):
         """Op i as the nested lists of the program JSON; a merged subtree
@@ -323,7 +338,8 @@ class _Tape:
         """Sound enclosures (lo, hi, |gradient| bound) of the roots over the
         boxes, one root at a time: the natural extension intersected with
         the centered form f(mid) + grad(box) . (box - mid) for nonlinear
-        expressions. The |gradient| bound has one row per variable, exactly 0
+        expressions and for linear ones that read a variable more than
+        once. The |gradient| bound has one row per variable, exactly 0
         for each variable the root does not read."""
         N = LO.shape[0]
         MID, RADT = _mid_rad(LO, HI)
@@ -356,7 +372,7 @@ class _Tape:
             mag = np.zeros((self.n,) + Gl.shape[1:])
             mag[self.support[self.roots[r]]] = np.maximum(np.abs(Gl),
                                                           np.abs(Gh))
-            if self.degs[r] > 1:
+            if self.centered[r]:
                 vl, vh = _centered(vl, vh, *centers[r], RADT, mag)
             return vl, vh, mag
 

@@ -22,7 +22,9 @@ from . import __version__
 from .averaging import (
     K2_BETA_THRESHOLD,
     THETA2,
+    k2_case_certificates,
     solve_copeland_k2,
+    solve_k2_parts,
     solve_theta2,
     solve_theta3,
     theta_lower_bound_closed_form,
@@ -256,10 +258,11 @@ def _cmd_solve_avg(args) -> int:
 
 
 def _cmd_solve_copeland_k2(args) -> int:
-    case1, case2 = solve_copeland_k2(
+    parts = solve_k2_parts(
         args.beta, threads=args.threads,
         **_given(tol=args.tol, max_boxes=args.budget),
     )
+    case1, case2 = k2_case_certificates(parts)
     certified = case1.bound < 0 and case2.bound < 0
     config = {"beta": args.beta, "tol": args.tol, "budget": args.budget}
     _emit_json(
@@ -271,6 +274,8 @@ def _cmd_solve_copeland_k2(args) -> int:
             "distortion_upper": 1.0 + args.beta if certified else None,
             "cases": [json.loads(case1.to_json()),
                       json.loads(case2.to_json())],
+            "parts": {part: json.loads(opt.to_json())
+                      for part, opt in parts.items()},
         },
         args.out,
     )
@@ -486,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="certify the k=2 Copeland chain cases negative")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="boxes per sub-solve (B = 1, B = 0, B-slope)")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_copeland_k2)
@@ -538,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write table1/table2/fig1/fig2 CSVs")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="boxes per k=2 sub-solve and per theta_3 case")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_reproduce_tables)
 

@@ -5,8 +5,9 @@ import pytest
 
 from delib import MetricInstance
 from delib.averaging import (
-    K2_CASES, THETA3_CASES, build_k2_case_program, build_theta2_program,
-    build_theta3_case_program, solve_theta2, solve_theta3,
+    K2_CASES, K2_PARTS, THETA3_CASES, build_k2_case_program,
+    build_k2_part_program, build_theta2_program, build_theta3_case_program,
+    solve_theta2, solve_theta3,
 )
 
 
@@ -32,15 +33,14 @@ def random_euclidean_instance(rng, m, n, dim=2):
 
 def paper_programs() -> dict:
     """The paper's box programs by a name unique across betas: theta_2 in
-    both encodings, both k = 2 cases in both forms at two betas, and the
-    eight theta_3 cases."""
+    both encodings, both full k = 2 case programs and the three k = 2 part
+    programs at two betas, and the eight theta_3 cases."""
     progs = {p.name: p for p in (build_theta2_program(),
                                  build_theta2_program(expanded=False))}
     for beta in (3.0, 3.4152):
-        for case in K2_CASES:
-            for reduced in (False, True):
-                p = build_k2_case_program(case, beta, reduced=reduced)
-                progs[f"{p.name}-beta{beta}"] = p
+        for p in ([build_k2_case_program(case, beta) for case in K2_CASES]
+                  + [build_k2_part_program(part, beta) for part in K2_PARTS]):
+            progs[f"{p.name}-beta{beta}"] = p
     for case in THETA3_CASES:
         p = build_theta3_case_program(case)
         progs[p.name] = p

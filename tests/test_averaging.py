@@ -1,24 +1,31 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delib import averaging
 from delib.averaging import (
     AUDIT_TOL,
     K2_BETA_THRESHOLD,
+    K2_CASES,
+    K2_PARTS,
     THETA2,
     audit_distribution,
     binary_support_search,
     build_k2_case_program,
+    build_k2_part_program,
     build_theta2_program,
     build_theta3_case_program,
+    k2_case_certificates,
     lb1_k3_distribution,
     lb1_k3_point,
     solve_copeland_k2,
+    solve_k2_parts,
     solve_theta2,
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
+    _k2_seeds,
     _theta3_seeds,
 )
 from delib.boxopt import (
@@ -78,10 +85,16 @@ def test_solve_copeland_k2_above_threshold_certifies_negative():
     assert case1.bound > -1e-3
     assert case2.bound > -1e-3
     # the search trajectory is pinned: a change to the enclosures or the
-    # search order shows up here first
-    assert (case1.boxes, case2.boxes) == (14_491, 56_209)
-    assert case1.bound == -8.008039858067844e-05
-    assert case2.bound == -7.424092720149326e-05
+    # search order shows up here first. Case 1 counts the B = 1 and B = 0
+    # solves, case 2 the B = 1 and slope solves; both bounds are B = 1's.
+    assert (case1.boxes, case2.boxes) == (10_362, 9_832)
+    assert case1.bound == case2.bound == -8.073232525534498e-05
+    # the certificates sit on the full programs, with B and r in the point
+    for case, opt in ((1, case1), (2, case2)):
+        prog = build_k2_case_program(case, 3.4152)
+        assert opt.program == prog.name
+        assert list(opt.point) == list(prog.var_names)
+        assert opt.point["B"] == 1.0
 
 
 def test_solve_copeland_k2_below_threshold_has_positive_witness():
@@ -96,12 +109,80 @@ def test_solve_copeland_k2_rejects_nonpositive_beta():
         solve_copeland_k2(0.0)
 
 
+def test_k2_slope_is_certified_negative_above_threshold():
+    # the slope bound carries case 2 from B = 1 to every B >= 1
+    parts = solve_k2_parts(3.4152)
+    assert parts["slope"].bound < 0.0
+    assert parts["slope"].target_met
+    assert parts["B1"].status == CERTIFIED
+    # B = 0 stops once it cannot raise case 1's bound above B = 1's
+    assert parts["B0"].bound <= parts["B1"].bound
+
+
+def test_k2_case2_is_not_certified_where_the_slope_is_not_negative():
+    # at beta = 1 the slope is 1.4 at q = 0.7, t = 0.3: case 2 grows with
+    # B, so no bound at B = 1 covers it
+    parts = solve_k2_parts(1.0, max_boxes=2000)
+    assert parts["slope"].bound >= 0.0
+    _, case2 = k2_case_certificates(parts)
+    assert case2.bound == math.inf
+    assert case2.status != CERTIFIED
+
+
+def test_k2_fixed_b_program_certifies_with_a_linear_objective():
+    # at B = 1 the objective is linear and reads q twice (r = 1 - p - q - s
+    # - t), with cancelling signs; its natural extension stalled at bound
+    # 0.4389 for 20,000 boxes before linear roots with repeated reads got
+    # the centered form
+    prog = build_k2_part_program("B1", 3.4152)
+    assert prog._tape.degs[0] == 1
+    res = solve_global(prog, tol=1e-4, max_boxes=20_000, seeds=_k2_seeds())
+    assert res.status == CERTIFIED
+    assert res.bound < 0.0
+
+
+def test_k2_part_programs_derive_from_the_case_objectives():
+    # at B = 1 both cases' objectives agree; the slope is case 2's B-slope
+    rng = np.random.default_rng(3)
+    x = rng.random((50, 4))
+    for beta in (3.0, 3.4152):
+        w = 2.0 / beta
+        b1, b0, slope = (build_k2_part_program(part, beta)._tape.plain(x)[0]
+                         for part in ("B1", "B0", "slope"))
+        full = [build_k2_case_program(c, beta) for c in (1, 2)]
+        r = 1.0 - x.sum(axis=1)
+        for B, want in ((1.0, b1), (0.0, b0)):
+            X = np.column_stack([np.full(50, B), x[:, :2], r, x[:, 2:]])
+            assert np.allclose(full[0]._tape.plain(X)[0], want, atol=1e-12)
+        X = np.column_stack([np.ones(50), x[:, :2], r, x[:, 2:]])
+        at1 = full[1]._tape.plain(X)[0]
+        assert np.allclose(at1, b1, atol=1e-12)
+        X[:, 0] = 2.0
+        assert np.allclose(full[1]._tape.plain(X)[0] - at1, slope, atol=1e-12)
+        p, q, s, t = x.T
+        assert np.allclose(slope, w * (p + q) - r - (w + 2) * (s + t),
+                           atol=1e-12)
+
+
 def test_k2_case_programs_expose_full_and_reduced_forms():
-    full = build_k2_case_program(1, 3.4152, reduced=False)
-    red = build_k2_case_program(1, 3.4152, reduced=True)
-    assert full.n == red.n + 1
+    # the full case programs carry B and r; the part programs, reduced by
+    # r = 1 - p - q - s - t and a fixed B, carry (p, q, s, t)
+    for case in K2_CASES:
+        assert build_k2_case_program(case, 3.4152).var_names == tuple("Bpqrst")
+    for part in K2_PARTS:
+        assert build_k2_part_program(part, 3.4152).var_names == tuple("pqst")
     with pytest.raises(ValueError):
         build_k2_case_program(3, 3.4152)
+    with pytest.raises(ValueError):
+        build_k2_part_program("B2", 3.4152)
+    with pytest.raises(ValueError):
+        build_k2_part_program("B1", 0.0)
+
+
+def test_solve_copeland_k2_does_not_depend_on_threads():
+    one = solve_copeland_k2(3.4152, max_boxes=3000)
+    two = solve_copeland_k2(3.4152, max_boxes=3000, threads=2)
+    assert [o.to_json() for o in one] == [o.to_json() for o in two]
 
 
 def test_theta3_case_programs_build():

@@ -8,6 +8,7 @@ from delib.averaging import (
     _k2_seeds,
     _theta3_seeds,
     build_k2_case_program,
+    build_k2_part_program,
     build_theta3_case_program,
 )
 from delib.boxopt import (
@@ -237,24 +238,28 @@ def test_theta3_search_trajectory_pinned(key):
     assert (res.boxes, res.bound, res.status) == _THETA3_TRAJECTORIES[key]
 
 
-# solve_copeland_k2's tol and seeds on the reduced programs, widest
-# branching at 8,000 boxes; (case, beta) -> (boxes, bound, status). The
-# objective is a polynomial, so its centered form drives every bound.
+# solve_copeland_k2's tol and seeds on the part programs, widest
+# branching at 8,000 boxes, no bound target; (part, beta) -> (boxes,
+# bound, status). Each objective is linear in (p, q, s, t) with repeated
+# reads, so its centered form drives every bound. B0 and the slope are
+# named by the case they belong to; B1 serves both.
 _K2_TRAJECTORIES = {
-    (1, 3.0): (8135, 0.29907989562182713, BUDGET_EXHAUSTED),
-    (2, 3.0): (8017, 34.180590312288636, BUDGET_EXHAUSTED),
-    (1, 3.4152): (8141, 0.18740279718985428, BUDGET_EXHAUSTED),
-    (2, 3.4152): (8017, 28.865666972787313, BUDGET_EXHAUSTED),
+    ("B1", 3.0): (8175, 0.08618927062182626, BUDGET_EXHAUSTED),
+    ("B1", 3.4152): (8077, 0.004494402366709986, BUDGET_EXHAUSTED),
+    ("B0", 3.0): (8403, 0.023689270621826304, BUDGET_EXHAUSTED),
+    ("B0", 3.4152): (8403, -0.05040721393687392, BUDGET_EXHAUSTED),
+    ("slope", 3.0): (8403, -0.16666666666666333, BUDGET_EXHAUSTED),
+    ("slope", 3.4152): (8403, -0.20719137971421545, BUDGET_EXHAUSTED),
 }
+_K2_PART_IDS = {"B1": "B1", "B0": "case1", "slope": "case2"}
 
 
 @pytest.mark.parametrize("key", _K2_TRAJECTORIES,
-                         ids=lambda k: f"case{k[0]}-beta{k[1]}")
+                         ids=lambda k: f"{_K2_PART_IDS[k[0]]}-beta{k[1]}")
 def test_k2_search_trajectory_pinned(key):
-    case, beta = key
-    res = solve_global(build_k2_case_program(case, beta, reduced=True),
-                       tol=1e-4, max_boxes=8000, seeds=_k2_seeds(case),
-                       branching="widest")
+    part, beta = key
+    res = solve_global(build_k2_part_program(part, beta), tol=1e-4,
+                       max_boxes=8000, seeds=_k2_seeds(), branching="widest")
     assert (res.boxes, res.bound, res.status) == _K2_TRAJECTORIES[key]
 
 

@@ -2,8 +2,8 @@
 committed fixtures.
 
 The `BoxProgram.to_json()` text of every paper program (theta_2 in both
-encodings, both k = 2 cases in both forms at two betas, all eight theta_3
-cases) is compared with `tests/data/golden_programs.json`, so a drift in
+encodings, both full k = 2 case programs and the three k = 2 part programs
+at two betas, all eight theta_3 cases) is compared with `tests/data/golden_programs.json`, so a drift in
 how a program is built or compiled fails here before any solve. Each
 solve's full `GlobalOptimum` JSON (point, value, bound, gap, boxes,
 status) is compared with `tests/data/golden_solves.json`, floats stored as
@@ -72,7 +72,7 @@ def built():
 
 
 def test_every_paper_program_is_pinned(programs, built):
-    assert len(built) == 18
+    assert len(built) == 20
     assert sorted(programs) == sorted(built)
 
 

@@ -183,6 +183,22 @@ def _degree(e):
     return sum(degs) if e.kind == _MUL else max(degs)
 
 
+def _reads_twice(e):
+    """Whether e reads some variable more than once, counting each read
+    along each path of the tree."""
+    reads = []
+
+    def walk(e):
+        if e.kind == _VAR:
+            reads.append(e.arg)
+        elif e.kind != _CONST:
+            for a in e.arg:
+                walk(a)
+
+    walk(e)
+    return len(reads) > len(set(reads))
+
+
 def _json_tree(e):
     """e as the nested lists of the program JSON, by a walk over the tree."""
     if e.kind == _CONST:
@@ -243,7 +259,7 @@ def _enclose_tree(e, LO, HI, idx):
     expression and one variable at a time."""
     vl, vh, Gl, Gh = _grad_tree(e, LO, HI, idx)
     mag = np.maximum(np.abs(Gl), np.abs(Gh))
-    if _degree(e) > 1:
+    if _degree(e) > 1 or _reads_twice(e):
         MID = 0.5 * (LO + HI)
         RADT = np.maximum(_up(HI - MID), _up(MID - LO)).T
         ml, mh = _ival_tree(e, MID, MID, idx)
@@ -358,6 +374,7 @@ def test_degrees_and_variables_match_tree_walk(prog):
     names, exprs = prog
     tape = _Tape(exprs, names)
     assert tape.degs == [_degree(e) for e in exprs]
+    assert tape.centered == [_degree(e) > 1 or _reads_twice(e) for e in exprs]
     for i, e in zip(tape.roots, exprs):
         assert tape.support[i] == sorted(map(names.index, _names(e)))
 
@@ -451,7 +468,7 @@ def _centered_by_nextafter(vl, vh, ml, mh, RADT, mag):
     """_centered with every rounding an np.nextafter call."""
     rad = np.zeros(ml.shape)
     for j, r in enumerate(RADT):
-        rad = _up(rad + _up(r * mag[..., j, :]))
+        rad = _up(rad + _up(r * mag[j]))
     return np.maximum(vl, _dn(ml - rad)), np.minimum(vh, _up(mh + rad))
 
 
@@ -470,10 +487,13 @@ _magnitudes = st.one_of(
 def test_centered_form_steps_bits_as_nextafter_rounds(data):
     # radii and gradient bounds up to the largest float, so terms and
     # sums overflow to inf as well
-    n, rows, roots = (data.draw(st.integers(1, 4)) for _ in range(3))
+    # (variables x boxes), as enclose passes them; a row of mag that does
+    # not depend on the box may be one column
+    n, rows = (data.draw(st.integers(1, 4)) for _ in range(2))
     RADT = _array(data, _magnitudes, (n, rows))
-    mag = _array(data, _magnitudes, (roots, n, rows))
-    ml = _array(data, _coords, (roots, rows))
+    mag = _array(data, _magnitudes,
+                 (n, data.draw(st.sampled_from([1, rows]))))
+    ml = _array(data, _coords, (rows,))
     vl, vh = ml - 8.0, ml + 8.0
     with np.errstate(over="ignore", invalid="ignore"):
         got = _centered(vl, vh, ml, ml, RADT, mag)
@@ -489,6 +509,73 @@ def test_centered_form_on_a_huge_radius_is_the_natural_extension():
     with np.errstate(over="ignore", invalid="ignore"):
         got = _centered(vl, vh, ml, ml, RADT, mag)
     assert _same_bits(got[0], vl) and _same_bits(got[1], vh)
+
+
+@st.composite
+def _linear_sums(draw):
+    """(names, expression, exact coefficients, exact constant, scale): a
+    signed sum of terms c * x over at most three variables, which it reads
+    with repeats, plus a constant. scale bounds the magnitude of every
+    partial sum over boxes in [-4, 4]."""
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(n)]
+    c0 = draw(_consts)
+    e, coef, const, scale = Const(c0), [Fraction(0)] * n, Fraction(c0), abs(c0)
+    for _ in range(draw(st.integers(1, 6))):
+        j, c = draw(st.integers(0, n - 1)), draw(_consts)
+        x = Var(names[j])
+        term = Const(c) * x if draw(st.booleans()) else x * Const(c)
+        how = draw(st.sampled_from(["+", "-", "rsub"]))
+        if how == "rsub":         # term - e flips every earlier sign
+            e, coef, const = term - e, [-a for a in coef], -const
+        else:
+            e = e + term if how == "+" else e - term
+        coef[j] += Fraction(c) if how != "-" else -Fraction(c)
+        scale += 4 * abs(c)
+    return names, e, coef, const, scale
+
+
+@given(lin=_linear_sums(), data=st.data())
+def test_linear_roots_enclose_within_rounding_of_their_coefficient_form(
+        lin, data):
+    # a natural extension counts a variable's width once per read, so
+    # x - x + y would overestimate by 2 width(x); the coefficient form
+    # c0 + sum_j a_j x_j has exact range, and the enclosure is within a
+    # few roundings per op of it
+    names, e, coef, const, scale = lin
+    LO, HI = data.draw(_boxes(len(names)))
+    (lo, hi, _), = _Tape([e], names).enclose(LO, HI)
+    # at most 13 ops, each rounded outward by an ulp of at most scale (or
+    # by a subnormal step at 0), carried through the gradient and f(mid)
+    slack = 2.0 ** -45 * scale + 1e-300
+    for row in range(LO.shape[0]):
+        ends = [sorted([a * Fraction(LO[row, j]), a * Fraction(HI[row, j])])
+                for j, a in enumerate(coef)]
+        want_lo = const + sum(end[0] for end in ends)
+        want_hi = const + sum(end[1] for end in ends)
+        assert lo[row] <= want_lo and want_hi <= hi[row]
+        assert want_lo - Fraction(lo[row]) <= slack
+        assert Fraction(hi[row]) - want_hi <= slack
+
+
+def test_cancelling_reads_leave_the_other_variables_range():
+    x, y = Var("x"), Var("y")
+    (lo, hi, _), = _Tape([x - x + y], ["x", "y"]).enclose(
+        np.array([[0.0, 2.0]]), np.array([[1.0, 3.0]]))
+    assert 2.0 - 1e-14 <= lo[0] <= 2.0 and 3.0 <= hi[0] <= 3.0 + 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(paper_programs()))
+def test_only_the_k2_part_programs_have_a_linear_root_with_repeats(name):
+    # the fix for repeated reads leaves every other paper program's
+    # enclosures as they were: none of its linear roots reads a variable
+    # twice
+    tape = paper_programs()[name]._tape
+    repeated = [c and d == 1 for c, d in zip(tape.centered, tape.degs)]
+    if "copeland-k2-B" in name or "copeland-k2-slope" in name:
+        assert repeated[0]
+    else:
+        assert repeated == [False] * len(repeated)
 
 
 def _dense_enclose(tape, LO, HI):
@@ -524,7 +611,7 @@ def _dense_enclose(tape, LO, HI):
     for r, i in enumerate(tape.roots):
         vl, vh, Gl, Gh = vals[i]
         mag = np.maximum(np.abs(Gl), np.abs(Gh))
-        if tape.degs[r] > 1:
+        if tape.centered[r]:
             vl, vh = _centered(vl, vh, *centers[r], RADT, mag)
         out.append((vl, vh, mag))
     return out

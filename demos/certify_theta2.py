@@ -21,7 +21,7 @@ print(f"certified value : {res.value:.10f}")
 print(f"closed form     : {THETA2:.10f}  (sqrt(2) - 1)")
 print(f"gap             : {res.value - THETA2:.2e}")
 
-# the witness puts mass p on +1 and the rest at 0, with p = 1 - 1/sqrt(2)
+# the witness puts mass p on -1 and the rest on +1, with p = 1 - 1/sqrt(2)
 opt = res.per_case[0]
 print(f"incumbent point : {opt.point}")
 print(f"expected p      : {1 - 1/math.sqrt(2):.10f}")

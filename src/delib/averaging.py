@@ -71,13 +71,6 @@ def _solve_cases(run, cases, threads, first=()):
         return {c: futures[c].result() for c in cases}
 
 
-def _solve_case(case, build, seeds, **solve_kw):
-    """Solve one case program from its feasible warm starts; `build` and
-    `seeds` map a case to its program and its seed points. Module level,
-    so a partial of it pickles for `_solve_cases`."""
-    return solve_global(build(case), seeds=seeds(case), **solve_kw)
-
-
 @dataclass
 class ThetaResult:
     """Certified upper bound on theta_k with the best witness found."""
@@ -506,6 +499,13 @@ def _theta3_seeds(case: int):
     return seeds
 
 
+def _solve_theta3_case(case, **solve_kw):
+    """Solve one theta_3 case program from its feasible warm starts.
+    Module level, so a partial of it pickles for `_solve_cases`."""
+    return solve_global(build_theta3_case_program(case),
+                        seeds=_theta3_seeds(case), **solve_kw)
+
+
 def solve_theta3(
     tol: float = 5e-4,
     budget: int = 3_000_000,
@@ -528,8 +528,7 @@ def solve_theta3(
     affecting any reported number; cases 5 and 3, the longest, are
     started first.
     """
-    run = partial(_solve_case, build=build_theta3_case_program,
-                  seeds=_theta3_seeds, tol=tol, max_boxes=budget,
+    run = partial(_solve_theta3_case, tol=tol, max_boxes=budget,
                   bound_target=bound_target)
     per_case = _solve_cases(run, THETA3_CASES, threads, first=(5, 3))
     value = max(o.bound for o in per_case.values())

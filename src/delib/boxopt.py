@@ -26,9 +26,10 @@ The search pops the most promising boxes and splits each where
 |gradient| x half-width is largest over the objective and the constraints
 not yet settled (smear branching; `branching="widest"` splits the widest
 relative width instead). It prunes children that are provably infeasible
-or provably no better than the incumbent, and harvests incumbents from
-exactly evaluated midpoints plus projected coordinate ascent. Reported
-upper bounds are rigorous whether or not the run ends certified.
+or provably no better than the incumbent. Incumbents are the seeds and
+points of the boxes, each evaluated exactly: the midpoints of children
+and the corners of boxes too small to split. Reported upper bounds are
+rigorous whether or not the run ends certified.
 
 Feasibility slack: incumbents may violate constraints by up to `FEAS_TOL`
 after exact evaluation, and infeasibility pruning leaves the same slack,
@@ -494,45 +495,6 @@ def _evaluate(prog: BoxProgram, X: np.ndarray):
     return ok, obj
 
 
-_ASCENT_FRACS = (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8)
-
-
-def _coordinate_ascent(
-    prog: BoxProgram, x: np.ndarray, val: float, sweeps: int = 3,
-) -> tuple[np.ndarray, float]:
-    """First-improvement hill climb, one coordinate at a time, inside the
-    global box; deterministic. Candidate moves must stay slack-feasible.
-    A coordinate's moves are tried as one batch, and the first improving
-    one in (larger step first, + before -) order is taken."""
-    widths = prog.upper - prog.lower
-    x = x.copy()
-    for _ in range(sweeps):
-        improved = False
-        for j in range(prog.n):
-            if widths[j] == 0:
-                continue
-            moves = []
-            for frac in _ASCENT_FRACS:
-                step = widths[j] * frac
-                for s in (step, -step):
-                    xj = min(prog.upper[j], max(prog.lower[j], x[j] + s))
-                    if xj != x[j]:
-                        moves.append(xj)
-            if not moves:
-                continue
-            cand = np.repeat(x[None, :], len(moves), axis=0)
-            cand[:, j] = moves
-            ok, vals = _evaluate(prog, cand)
-            better = np.flatnonzero(ok & (vals > val))
-            if better.size:
-                b = better[0]
-                x, val = cand[b], float(vals[b])
-                improved = True
-        if not improved:
-            break
-    return x, val
-
-
 def _split_dim(lo: np.ndarray, hi: np.ndarray) -> int:
     """Widest relative width with a strictly interior midpoint; -1 if none."""
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
@@ -561,10 +523,11 @@ def solve_global(
     Returns Certified when the global gap is <= tol, BudgetExhausted when
     max_boxes is hit first (bound still rigorous), Infeasible when the whole
     box is proven infeasible. `seeds` are candidate points (dicts from
-    variable name to value) used as initial incumbents after an exact
-    feasibility check. `bound_target` stops the search early once the
-    rigorous global upper bound drops to the target; the status then still
-    reflects the gap rule and `target_met` records the early stop.
+    variable name to value), clipped to the box and kept unmoved as
+    initial incumbents after an exact feasibility check. `bound_target`
+    stops the search early once the rigorous global upper bound drops to
+    the target; the status then still reflects the gap rule and
+    `target_met` records the early stop.
 
     `branching` picks the split coordinate: "smear" (default) splits where
     |gradient| x half-width is largest over the objective and the
@@ -589,10 +552,7 @@ def solve_global(
 
     for s in seeds:
         x = np.array([float(s[name]) for name in prog.var_names])
-        x = np.minimum(prog.upper, np.maximum(prog.lower, x))
-        ok, v = _evaluate(prog, x[None, :])
-        if ok[0]:
-            consider(*_coordinate_ascent(prog, x, float(v[0])))
+        try_point(np.minimum(prog.upper, np.maximum(prog.lower, x)))
 
     def child_bounds(LO, HI, root=False):
         """Per box: objective upper bound, infeasibility flag and split dim.
@@ -642,7 +602,6 @@ def solve_global(
         counter += 1
 
     target_met = False
-    stuck = None            # incumbent value the last ascent started from
     while True:
         global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
         gap = global_ub - inc_val
@@ -712,11 +671,6 @@ def solve_global(
                                     sdims[push].tolist()):
             heapq.heappush(heap, (-ub, counter, lo, hi, sdim))
             counter += 1
-        # an ascent from an incumbent it already failed to improve would
-        # repeat the same moves: the incumbent changes only when inc_val rises
-        if inc_x is not None and push.size and inc_val != stuck:
-            stuck = inc_val
-            consider(*_coordinate_ascent(prog, inc_x, inc_val, sweeps=1))
 
     return GlobalOptimum(
         point=None if inc_x is None else prog.point(inc_x),

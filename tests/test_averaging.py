@@ -49,16 +49,24 @@ def test_constants():
 def test_solve_theta2_certificate():
     res = solve_theta2()
     assert res.k == 2
-    assert res.value == pytest.approx(0.4142141342163088, abs=1e-9)
+    assert res.value == pytest.approx(0.4142136573791506, abs=1e-9)
     assert abs(res.value - THETA2) <= 1e-4
     opt = res.per_case[0]
     assert opt.status == CERTIFIED
-    assert opt.boxes == 203
+    assert opt.boxes == 399
     assert opt.point["p"] == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-3)
     assert opt.point["q"] <= 1e-3
     # the reported witness is feasible under independent exact enumeration
     assert res.audit_pk >= 0.5
-    assert res.audit_pk == pytest.approx(0.5000001196, abs=1e-8)
+    assert res.audit_pk == pytest.approx(0.5000001014, abs=1e-8)
+
+
+def test_theta2_bound_is_sound_in_exact_arithmetic(theta2_run):
+    # sqrt(2) - 1 <= bound, proved as (bound + 1)^2 >= 2 in rationals, and
+    # the bound is no looser than the standing 0.4142141342163088
+    bound = theta2_run[0].value
+    assert (Fraction(bound) + 1) ** 2 >= 2
+    assert bound <= 0.4142141342163088
 
 
 def test_theta2_raw_and_expanded_encodings_agree():
@@ -87,7 +95,7 @@ def test_solve_copeland_k2_above_threshold_certifies_negative():
     # the search trajectory is pinned: a change to the enclosures or the
     # search order shows up here first. Case 1 counts the B = 1 and B = 0
     # solves, case 2 the B = 1 and slope solves; both bounds are B = 1's.
-    assert (case1.boxes, case2.boxes) == (10_362, 9_832)
+    assert (case1.boxes, case2.boxes) == (10_492, 9_962)
     assert case1.bound == case2.bound == -8.073232525534498e-05
     # the certificates sit on the full programs, with B and r in the point
     for case, opt in ((1, case1), (2, case2)):

@@ -7,7 +7,6 @@ import numpy as np
 from delib.averaging import (
     _k2_seeds,
     _theta3_seeds,
-    build_k2_case_program,
     build_k2_part_program,
     build_theta3_case_program,
 )
@@ -17,7 +16,6 @@ from delib.boxopt import (
     INFEASIBLE,
     BoxProgram,
     Var,
-    _coordinate_ascent,
     _evaluate,
     interval_eval,
     solve_global,
@@ -161,52 +159,17 @@ def test_degree_cap_enforced():
         BoxProgram([("x", 0.0, 1.0)], x ** 5)
 
 
-def _ascent_one_move_at_a_time(prog, x, val, sweeps):
-    """The coordinate ascent as a scalar loop: each move is checked alone."""
-    widths = prog.upper - prog.lower
-    x = x.copy()
-    for _ in range(sweeps):
-        improved = False
-        for j in range(prog.n):
-            if widths[j] == 0:
-                continue
-            for frac in (0.25, 0.0625, 0.015625, 1e-4, 1e-6, 1e-8):
-                step = widths[j] * frac
-                for s in (step, -step):
-                    xj = min(prog.upper[j], max(prog.lower[j], x[j] + s))
-                    if xj == x[j]:
-                        continue
-                    cand = x.copy()
-                    cand[j] = xj
-                    ok, v = _evaluate(prog, cand[None, :])
-                    if ok[0] and v[0] > val:
-                        x, val = cand, float(v[0])
-                        improved = True
-                        break
-                else:
-                    continue
-                break
-        if not improved:
-            break
-    return x, val
-
-
-@pytest.mark.parametrize("prog", [
-    _corner_program("<="),
-    build_k2_case_program(1, 3.4152),
-    build_theta3_case_program(5),
-], ids=lambda p: p.name)
-def test_batched_ascent_takes_the_scalar_loops_moves(prog):
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = prog.lower + rng.random(prog.n) * (prog.upper - prog.lower)
-        ok, v = _evaluate(prog, x[None, :])
-        val = float(v[0]) if ok[0] else -math.inf
-        for sweeps in (1, 3):
-            got = _coordinate_ascent(prog, x, val, sweeps)
-            want = _ascent_one_move_at_a_time(prog, x, val, sweeps)
-            assert got[1] == want[1]
-            assert np.array_equal(got[0], want[0])
+def test_a_seed_is_kept_as_given():
+    # one box: the incumbent is the best of the seeds and the root's
+    # midpoint, each evaluated exactly, with no move away from a seed
+    prog = build_k2_part_program("B1", 3.4152)
+    seeds = _k2_seeds()
+    opt = solve_global(prog, max_boxes=1, seeds=seeds)
+    assert opt.point == seeds[0]
+    x = np.array([[seeds[0][name] for name in prog.var_names]])
+    ok, v = _evaluate(prog, x)
+    assert ok[0]
+    assert opt.value == float(v[0])
 
 
 # solve_theta3's tol and seeds, no bound target; (case, branching, budget)

@@ -14,6 +14,9 @@ no extra solve. After a deliberate change to the programs or the search,
 rewrite the fixtures with
 
     PYTHONPATH=src python tests/test_golden_solves.py
+
+which prints each solve's old -> new boxes, bound and status, and writes
+nothing if any bound rose or any Certified solve lost its certificate.
 """
 
 import json
@@ -24,6 +27,7 @@ import pytest
 from delib.averaging import (
     THETA3_CASES, solve_copeland_k2, solve_theta2, solve_theta3,
 )
+from delib.boxopt import CERTIFIED
 
 from conftest import paper_programs
 
@@ -54,6 +58,28 @@ def _outputs(theta2, k2, theta3) -> dict:
         "k2": [_pinned(opt) for opt in k2],
         "theta3": {str(c): _pinned(theta3.per_case[c]) for c in THETA3_CASES},
     }
+
+
+def _by_name(outputs) -> dict:
+    """Each pinned solve of `_outputs` by one name."""
+    return {"theta2": outputs["theta2"],
+            **{f"k2-case{i}": o for i, o in enumerate(outputs["k2"], 1)},
+            **{f"theta3-case{c}": o for c, o in outputs["theta3"].items()}}
+
+
+def _loosened(old, new) -> list[str]:
+    """Print old -> new boxes, bound and status of every solve in `new`;
+    return the names of those whose bound rose or that lost Certified."""
+    old, worse = _by_name(old), []
+    for name, b in _by_name(new).items():
+        a = old[name]
+        was, now = float.fromhex(a["bound"]), float.fromhex(b["bound"])
+        print(f"{name}: boxes {a['boxes']} -> {b['boxes']}, "
+              f"bound {was!r} -> {now!r}, status {a['status']} -> {b['status']}")
+        if now > was or (a["status"] == CERTIFIED
+                         and b["status"] != CERTIFIED):
+            worse.append(name)
+    return worse
 
 
 @pytest.fixture(scope="module")
@@ -100,10 +126,26 @@ def test_theta3_case_solve_matches_golden(golden, theta3_run, case):
     assert _pinned(theta3_run[0].per_case[case]) == golden["theta3"][str(case)]
 
 
+def test_rewrite_refuses_a_looser_bound_or_a_lost_certificate(golden):
+    new = json.loads(json.dumps(golden))
+    new["theta2"]["bound"] = (float.fromhex(golden["theta2"]["bound"])
+                              + 1e-9).hex()
+    new["k2"][0]["status"] = "BudgetExhausted"
+    new["theta3"]["7"]["bound"] = "0x0.0p+0"
+    new["theta3"]["8"]["boxes"] += 1
+    assert golden["k2"][0]["status"] == CERTIFIED
+    assert _loosened(golden, new) == ["theta2", "k2-case1"]
+    assert _loosened(golden, golden) == []
+
+
 if __name__ == "__main__":
+    outputs = _outputs(solve_theta2(), solve_copeland_k2(K2_BETA),
+                       solve_theta3(threads=2))
+    worse = _loosened(json.loads(GOLDEN.read_text()), outputs)
+    if worse:
+        raise SystemExit("not written: a bound rose or a certificate was "
+                         f"lost in {', '.join(worse)}")
     PROGRAMS.write_text(json.dumps(
         {name: p.to_json() for name, p in paper_programs().items()},
         indent=1) + "\n")
-    outputs = _outputs(solve_theta2(), solve_copeland_k2(K2_BETA),
-                       solve_theta3(threads=2))
     GOLDEN.write_text(json.dumps(outputs, indent=1) + "\n")

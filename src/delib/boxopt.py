@@ -26,15 +26,16 @@ The search pops the most promising boxes and splits each where
 |gradient| x half-width is largest over the objective and the constraints
 not yet settled (smear branching; `branching="widest"` splits the widest
 relative width instead). It prunes children that are provably infeasible
-or provably no better than the incumbent. Incumbents are the seeds and
-points of the boxes, each evaluated exactly: the midpoints of children
-and the corners of boxes too small to split. Reported upper bounds are
+or provably no better than the incumbent. Each box is enclosed once, when
+it is made, and keeps that bound. Incumbents are the seeds and the points
+of boxes, each evaluated in floating point: the midpoints of children and
+the corners of boxes too small to split. Reported upper bounds are
 rigorous whether or not the run ends certified.
 
 Feasibility slack: incumbents may violate constraints by up to `FEAS_TOL`
-after exact evaluation, and infeasibility pruning leaves the same slack,
-so a slack-feasible incumbent can never sit inside a pruned box and
-`bound >= value` always holds.
+as evaluated in floating point, and infeasibility pruning leaves the same
+slack, so a slack-feasible incumbent sits inside a pruned box only where
+rounding errs by more than `FEAS_TOL`.
 """
 
 from __future__ import annotations
@@ -495,17 +496,6 @@ def _evaluate(prog: BoxProgram, X: np.ndarray):
     return ok, obj
 
 
-def _split_dim(lo: np.ndarray, hi: np.ndarray) -> int:
-    """Widest relative width with a strictly interior midpoint; -1 if none."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    rel = (hi - lo) / scale
-    for j in np.argsort(-rel, kind="stable"):
-        mid = 0.5 * (lo[j] + hi[j])
-        if lo[j] < mid < hi[j]:
-            return int(j)
-    return -1
-
-
 _EPOCH_SIZE = 256     # boxes popped and split per batched pass
 
 
@@ -524,15 +514,16 @@ def solve_global(
     max_boxes is hit first (bound still rigorous), Infeasible when the whole
     box is proven infeasible. `seeds` are candidate points (dicts from
     variable name to value), clipped to the box and kept unmoved as
-    initial incumbents after an exact feasibility check. `bound_target`
-    stops the search early once the rigorous global upper bound drops to
-    the target; the status then still reflects the gap rule and
-    `target_met` records the early stop.
+    initial incumbents when they are slack-feasible in floating point.
+    `bound_target` stops the search early once the rigorous global upper
+    bound drops to the target; the status then still reflects the gap rule
+    and `target_met` records the early stop.
 
-    `branching` picks the split coordinate: "smear" (default) splits where
-    |gradient| x half-width is largest over the objective and the
-    not-yet-settled constraints; "widest" splits the widest relative width,
-    ties by variable order. Both are deterministic.
+    `branching` picks the split coordinate among those whose midpoint lies
+    strictly inside the box: "smear" (default) splits where |gradient| x
+    half-width is largest over the objective and the not-yet-settled
+    constraints; "widest" splits the widest relative width. Ties go by
+    variable order, so both are deterministic.
     """
     if branching not in ("smear", "widest"):
         raise ValueError(f"unknown branching rule: {branching!r}")
@@ -540,22 +531,24 @@ def solve_global(
     inc_val = -math.inf
     inc_x: np.ndarray | None = None
 
-    def consider(x: np.ndarray, v: float):
+    def try_points(X: np.ndarray):
+        """Make the first best slack-feasible row of X the incumbent if it
+        beats the incumbent."""
         nonlocal inc_val, inc_x
-        if v > inc_val:
-            inc_val, inc_x = v, x.copy()
+        ok, v = _evaluate(prog, X)
+        if ok.any():
+            b = int(np.argmax(np.where(ok, v, -math.inf)))
+            if v[b] > inc_val:
+                inc_val, inc_x = float(v[b]), X[b].copy()
 
-    def try_point(x: np.ndarray):
-        ok, v = _evaluate(prog, x[None, :])
-        if ok[0]:
-            consider(x, float(v[0]))
+    try_points(np.clip(np.reshape([[float(s[name]) for name in prog.var_names]
+                                   for s in seeds], (-1, prog.n)),
+                       prog.lower, prog.upper))
 
-    for s in seeds:
-        x = np.array([float(s[name]) for name in prog.var_names])
-        try_point(np.minimum(prog.upper, np.maximum(prog.lower, x)))
-
-    def child_bounds(LO, HI, root=False):
-        """Per box: objective upper bound, infeasibility flag and split dim.
+    def child_bounds(LO, HI, root):
+        """Per box: objective upper bound, infeasibility flag and split
+        coordinate, the best-scoring one whose midpoint is strictly inside
+        the box, or -1 when there is none.
 
         The gradients driving the centered form also drive smear-based
         branching (split where |grad| x width is largest over the objective
@@ -572,7 +565,7 @@ def solve_global(
                                  "finite; narrow the variable bounds")
             roots = iter(roots)
         ol, oh, omag = next(roots)
-        smear = omag * RADT
+        score = omag * RADT
         infeas = np.zeros(LO.shape[0], dtype=bool)
         for c, (gl, gh, gmag) in zip(prog.constraints, roots):
             if c.relation == ">=":
@@ -581,28 +574,35 @@ def solve_global(
             else:
                 infeas |= gl > c.rhs + FEAS_TOL
                 active = gh > c.rhs
-            smear += gmag * RADT * active[None, :]
+            score += gmag * RADT * active[None, :]
         if branching == "widest":
             scale = np.maximum(1.0, np.maximum(np.abs(LO), np.abs(HI)))
-            return oh, infeas, np.argmax((HI - LO).T / scale.T, axis=0)
-        return oh, infeas, np.argmax(smear, axis=0)
+            score = (HI - LO).T / scale.T
+        MID = 0.5 * (LO + HI)
+        inside = ((LO < MID) & (MID < HI)).T
+        sdim = np.argmax(np.where(inside, score, -math.inf), axis=0)
+        return oh, infeas, np.where(inside.any(axis=0), sdim, -1)
 
-    lo0, hi0 = prog.lower.copy(), prog.upper.copy()
-    if (np.abs([lo0, hi0]) > np.finfo(float).max / 2).any():
+    if (np.abs([prog.lower, prog.upper]) > np.finfo(float).max / 2).any():
         raise ValueError("variable bounds too large: box centers overflow")
-    ub0, infeas0, sdim0 = child_bounds(lo0[None, :], hi0[None, :], root=True)
-    boxes = 1
-    residual = -math.inf          # sup over dropped undecided slivers
+    LO, HI = prog.lower[None, :], prog.upper[None, :]   # the root box
+    boxes = 0
+    residual = -math.inf          # sup over the bounds of unsplittable boxes
     heap: list = []
     counter = 0
-
-    if not infeas0[0]:
-        try_point(0.5 * (lo0 + hi0))
-        heapq.heappush(heap, (-float(ub0[0]), counter, lo0, hi0, int(sdim0[0])))
-        counter += 1
-
     target_met = False
     while True:
+        ubs, infeas, sdims = child_bounds(LO, HI, root=not boxes)
+        boxes += LO.shape[0]
+        keep = ~infeas
+        try_points(0.5 * (LO[keep] + HI[keep]))
+        # the heap holds rows of compact copies, so pruned boxes are freed
+        push = np.flatnonzero(keep & (ubs > inc_val))
+        for lo, hi, ub, sdim in zip(LO[push], HI[push], ubs[push].tolist(),
+                                    sdims[push].tolist()):
+            heapq.heappush(heap, (-ub, counter, lo, hi, sdim))
+            counter += 1
+
         global_ub = max(inc_val, residual, -heap[0][0] if heap else -math.inf)
         gap = global_ub - inc_val
         if inc_x is not None and gap <= tol:
@@ -622,55 +622,24 @@ def solve_global(
             nub, _, lo, hi, sdim = heapq.heappop(heap)
             if -nub <= inc_val:
                 continue    # cannot improve; safe to discard
-            parents.append((lo, hi, sdim))
-        if not parents:
-            continue
-
-        PLO = np.stack([p[0] for p in parents])
-        PHI = np.stack([p[1] for p in parents])
-        rows = np.arange(len(parents))
-        J = np.array([p[2] for p in parents])
-        M = 0.5 * (PLO[rows, J] + PHI[rows, J])
-        split = (PLO[rows, J] < M) & (M < PHI[rows, J])
-        for i in np.flatnonzero(~split):
-            lo, hi = PLO[i], PHI[i]
-            j = _split_dim(lo, hi)
-            if j >= 0:
-                J[i], M[i], split[i] = j, 0.5 * (lo[j] + hi[j]), True
+            if sdim < 0:
+                # too small to split: try its corner, keep its bound so
+                # the final bound stays rigorous
+                try_points(lo[None, :])
+                residual = max(residual, -nub)
                 continue
-            # box too small to split: try its corner exactly, keep the
-            # enclosure's upper bound so the final bound stays rigorous
-            try_point(lo)
-            ub1, inf1, _ = child_bounds(lo[None, :], hi[None, :])
-            if not inf1[0]:
-                residual = max(residual, float(ub1[0]))
-        if not split.any():
-            continue
+            parents.append((lo, hi, sdim))
+
         # children in parent order, lower half first
-        J, M = np.repeat(J[split], 2), np.repeat(M[split], 2)
-        LO = np.repeat(PLO[split], 2, axis=0)
-        HI = np.repeat(PHI[split], 2, axis=0)
+        J = np.repeat(np.array([p[2] for p in parents], dtype=np.intp), 2)
+        LO = np.repeat(np.reshape([p[0] for p in parents], (-1, prog.n)), 2,
+                       axis=0)
+        HI = np.repeat(np.reshape([p[1] for p in parents], (-1, prog.n)), 2,
+                       axis=0)
         rows = np.arange(LO.shape[0])
+        M = 0.5 * (LO[rows, J] + HI[rows, J])
         HI[rows[0::2], J[0::2]] = M[0::2]
         LO[rows[1::2], J[1::2]] = M[1::2]
-        boxes += LO.shape[0]
-        ubs, infeas, sdims = child_bounds(LO, HI)
-
-        keep = ~infeas
-        mids = 0.5 * (LO[keep] + HI[keep])
-        if mids.size:
-            feas, vals = _evaluate(prog, mids)
-            if feas.any():
-                vals = vals[feas]
-                b = int(np.argmax(vals))
-                consider(mids[feas][b], float(vals[b]))
-
-        # the heap holds rows of compact copies, so pruned boxes are freed
-        push = np.flatnonzero(keep & (ubs > inc_val))
-        for lo, hi, ub, sdim in zip(LO[push], HI[push], ubs[push].tolist(),
-                                    sdims[push].tolist()):
-            heapq.heappush(heap, (-ub, counter, lo, hi, sdim))
-            counter += 1
 
     return GlobalOptimum(
         point=None if inc_x is None else prog.point(inc_x),

@@ -50,13 +50,17 @@ import numpy as np
 from .bounds import copeland_distortion_from_theta, lower_bounds_from_theta
 from .instances import line_instance_from_bias_distribution
 from .metric import BiasDistribution
-from .models import LINEAR, BiasTransform, ModelConfig, exact_pk
+from .models import (
+    _MAX_EXACT_K, LINEAR, BiasTransform, ModelConfig, _atom_gvals, _atoms,
+    exact_pk, group_win_probs,
+)
 
 INFEASIBLE = math.inf      # sentinel: no omega in [0,1] satisfies the constraint
 C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
 GROUP_SIZE_CAP = 4096      # largest k the doubling search will try
 _DIRECT_WEIGHT_MAX_K = 1000   # above this, binomial weights go through lgamma
 _BLOCK_LEVELS = 5             # bisection levels decided per pass of a scalar solve
+_AUDIT_BLOCK_SLOTS = 1 << 20  # member slots per block of a two-atom audit
 
 
 def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
@@ -409,17 +413,35 @@ def group_size_closed_form(epsilon: float) -> int:
     return math.ceil(max(1.0, 4.0 / delta**2 * math.log(2.0 / delta)))
 
 
+def _two_atom_pk(inst, model: ModelConfig) -> float:
+    """p(W over X) on a witness of one or two atoms: a binomial sum over
+    the k + 1 group compositions, decided by group_win_probs in blocks."""
+    diffs, probs, d12 = _atoms(inst, "W", "X")
+    gvals = _atom_gvals(model, diffs, d12)
+    k = model.k
+    # composition c puts c members at atom 0 and k - c at the last atom
+    w = np.append((1.0 - probs[0]) ** k, _binomial_weights(k, probs[:1]))
+    step = max(1, _AUDIT_BLOCK_SLOTS // k)
+    terms = []
+    for c in range(0, k + 1, step):
+        cs = np.arange(c, min(c + step, k + 1))
+        members = (len(diffs) - 1) * (np.arange(k) >= cs[:, None])
+        terms.append(w[cs] * group_win_probs(model, members, diffs, gvals))
+    return min(1.0, max(0.0, math.fsum(np.concatenate(terms))))
+
+
 def incumbent_feasibility(result: ZetaResult) -> tuple[float, float]:
-    """Exact win probability of the incumbent two-point configuration.
+    """Win probability of the incumbent two-point configuration.
 
     Realizes the argmax distribution (-omega with mass alpha, +1 with mass
     1 - alpha) on a line instance and evaluates the deliberation rule by
-    exact enumeration. Returns (win probability, gap), gap being how far
-    the exact probability falls short of 1/2. For omega > 0 the group-level
-    lottery matches the relaxed constraint exactly (a two-point
-    configuration makes every mean substitution tight), so the gap is zero
-    up to rounding; an omega of exactly 0 can report a real gap, which
-    documents that the relaxation's boundary optimum is not achievable.
+    exact enumeration, or past models._MAX_EXACT_K by _two_atom_pk. Returns
+    (win probability, gap), gap being how far it falls short of 1/2. For
+    omega > 0 the group-level lottery matches the relaxed constraint exactly
+    (a two-point configuration makes every mean substitution tight), so the
+    gap is zero up to rounding; an omega of exactly 0 can report a real
+    gap, which documents that the relaxation's boundary optimum is not
+    achievable.
     """
     atoms = [(-result.omega, result.alpha), (1.0, 1.0 - result.alpha)]
     atoms = [(v, p) for v, p in atoms if p > 0.0]
@@ -428,5 +450,6 @@ def incumbent_feasibility(result: ZetaResult) -> tuple[float, float]:
         variant="random-choice", k=result.k,
         g=BiasTransform.parse(result.g), beta=result.beta,
     )
-    pk = exact_pk(inst, model, "W", "X").value
+    pk = (exact_pk(inst, model, "W", "X").value if result.k <= _MAX_EXACT_K
+          else _two_atom_pk(inst, model))
     return pk, max(0.0, 0.5 - pk)

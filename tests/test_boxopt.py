@@ -112,10 +112,48 @@ def test_seeds_install_incumbent():
     res = solve_global(_corner_program("<="), tol=1e-6, max_boxes=1,
                        seeds=[{"x": 1.0, "y": 0.5}])
     assert res.value == pytest.approx(1.5)
-    # infeasible seeds are rejected by the exact check
+    # an infeasible seed is rejected, leaving the root's midpoint
     res2 = solve_global(_corner_program("<="), tol=1e-6, max_boxes=1,
                         seeds=[{"x": 1.0, "y": 1.0}])
-    assert res2.value is None or res2.value < 1.6
+    assert res2.point == {"x": 0.5, "y": 0.5}
+    assert res2.value == 1.0
+
+
+def test_first_best_feasible_seed_is_kept():
+    # (1, 1) violates xy <= 1/2; of the two seeds worth 1.5 the first stays
+    res = solve_global(_corner_program("<="), tol=1e-6, max_boxes=1,
+                       seeds=[{"x": 1.0, "y": 1.0}, {"x": 1.0, "y": 0.5},
+                              {"x": 0.5, "y": 1.0}])
+    assert res.point == {"x": 1.0, "y": 0.5}
+    assert res.value == 1.5
+
+
+def test_unsplittable_root_keeps_its_enclosure():
+    # a point box has no midpoint strictly inside: its corner is the
+    # incumbent and the root enclosure's upper end the bound
+    x = Var("x")
+    res = solve_global(BoxProgram([("x", 0.1, 0.1)], x * x), tol=0.0)
+    assert res.status == BUDGET_EXHAUSTED
+    assert res.boxes == 1
+    assert res.point == {"x": 0.1}
+    assert res.value == 0.010000000000000002
+    assert res.bound == 0.010000000000000004
+
+
+@pytest.mark.parametrize("branching", ["smear", "widest"])
+@pytest.mark.parametrize("rhs, boxes, y", [(1.0, 63, 0.5), (0.3, 85, 0.25)])
+def test_split_skips_a_coordinate_too_narrow_to_split(branching, rhs, boxes, y):
+    # x spans one ulp, so its midpoint rounds to an endpoint; smear scores
+    # x highest, and both rules split y instead. With y <= 0.3 the halves
+    # above it are pruned, which splitting x would never do.
+    x = Var("x")
+    prog = BoxProgram([("x", 1.0, math.nextafter(1.0, 2.0)), ("y", 0.0, 1.0)],
+                      1e20 * x * x, [(Var("y"), "<=", rhs)])
+    res = solve_global(prog, tol=0.0, max_boxes=50, branching=branching)
+    assert res.status == BUDGET_EXHAUSTED
+    assert res.boxes == boxes
+    assert res.point == {"x": 1.0, "y": y}
+    assert res.bound == 1.0000000000000007e+20
 
 
 def test_interval_eval_encloses_true_range():
@@ -161,7 +199,8 @@ def test_degree_cap_enforced():
 
 def test_a_seed_is_kept_as_given():
     # one box: the incumbent is the best of the seeds and the root's
-    # midpoint, each evaluated exactly, with no move away from a seed
+    # midpoint, each evaluated in floating point, with no move away from
+    # a seed
     prog = build_k2_part_program("B1", 3.4152)
     seeds = _k2_seeds()
     opt = solve_global(prog, max_boxes=1, seeds=seeds)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -233,6 +234,16 @@ def test_solve_random_payload(capsys):
     assert payload["zeta"] == pytest.approx(1.0 - 2.0 ** -0.5, abs=1e-6)
     assert payload["distortion_upper"] == pytest.approx(3.3431457, abs=1e-4)
     assert payload["incumbent_exact_pk"] >= 0.5
+    assert payload["incumbent_gap"] <= 1e-9
+
+
+def test_solve_random_audits_groups_past_exact_enumeration(capsys):
+    # past models._MAX_EXACT_K the binomials overflow a float, so the
+    # two-atom witness is audited with log-space weights
+    assert main(["solve-random", "--k", "1030"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert math.isfinite(payload["incumbent_exact_pk"])
+    assert payload["incumbent_exact_pk"] >= 0.5 - 1e-9
     assert payload["incumbent_gap"] <= 1e-9
 
 

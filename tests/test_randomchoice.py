@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -294,6 +295,20 @@ def test_incumbent_feasibility_reports_boundary_artifact():
     pk, gap = incumbent_feasibility(res)
     assert pk == 0.0
     assert gap == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("res", [
+    zeta(2), zeta(3, SQRT), zeta(2, beta=0.5), zeta(2, beta=0.0), zeta(300),
+    dataclasses.replace(zeta(3), alpha=1.0),    # a one-atom witness
+], ids=["k2", "k3-sqrt", "k2-beta0.5", "k2-beta0", "k300", "one-atom"])
+def test_two_atom_audit_matches_exact_enumeration(monkeypatch, res):
+    # the log-space binomial sum, used past models._MAX_EXACT_K, agrees
+    # with exact enumeration below it, also split into one-row blocks
+    exact, _ = incumbent_feasibility(res)
+    monkeypatch.setattr(rc, "_MAX_EXACT_K", 0)
+    assert incumbent_feasibility(res)[0] == pytest.approx(exact, abs=1e-12)
+    monkeypatch.setattr(rc, "_AUDIT_BLOCK_SLOTS", 1)
+    assert incumbent_feasibility(res)[0] == pytest.approx(exact, abs=1e-12)
 
 
 # -- group size ------------------------------------------------------------------

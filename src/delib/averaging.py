@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .boxopt import (
     BUDGET_EXHAUSTED,
     CERTIFIED,
@@ -41,7 +39,7 @@ from .boxopt import (
 )
 from .instances import line_instance_from_bias_distribution
 from .metric import BiasDistribution
-from .models import ModelConfig, exact_pk, group_win_probs
+from .models import ModelConfig, exact_pk
 
 THETA2 = math.sqrt(2.0) - 1.0
 K2_BETA_THRESHOLD = 2.0 + math.sqrt(2.0)
@@ -545,7 +543,7 @@ def solve_theta3(
 
 
 # ---------------------------------------------------------------------------
-# closed forms and the heuristic for larger k
+# closed forms for general k
 
 
 def theta_upper_bound_closed_form(k: int) -> float:
@@ -563,36 +561,3 @@ def theta_lower_bound_closed_form(k: int) -> float:
         raise ValueError("k must be >= 2")
     return 1.0 / (k + 1) if k % 2 else 2.0 / (3.0 * k)
 
-
-def binary_support_search(
-    k: int, value_step: float = 0.05, prob_step: float = 0.01,
-) -> tuple[float, BiasDistribution]:
-    """Heuristic grid search over two-point distributions; NOT certified.
-
-    Scans D = {x w.p. 1-p, y w.p. p} with x <= 0 <= y on a grid and keeps
-    the first best mean, in (x, y, p) scan order, subject to the exact
-    win-probability constraint: `group_win_probs` decides each cell's k + 1
-    group compositions. Useful as a conjecture probe for k >= 4 where no
-    certified solve exists.
-    """
-    nx, n_p = round(1.0 / value_step), round(1.0 / prob_step)
-    steps = np.arange(nx + 1)
-    xs = np.repeat(-steps * value_step, nx + 1)     # cell ix * (nx + 1) + iy
-    ys = np.tile(steps * value_step, nx + 1)
-    # atom 2c is cell c's x, atom 2c + 1 its y; composition j draws y j times
-    members = (2 * np.arange(len(xs))[:, None, None]
-               + (np.arange(k) < np.arange(k + 1)[:, None]))
-    wins = group_win_probs(ModelConfig("averaging", k), members.reshape(-1, k),
-                           np.column_stack([xs, ys]).ravel(), None)
-    probs = [ip * prob_step for ip in range(n_p + 1)]
-    total = np.zeros((len(xs), n_p + 1))
-    for j in range(k + 1):
-        total += wins[j::k + 1, None] * [
-            math.comb(k, j) * p**j * (1 - p) ** (k - j) for p in probs]
-    p = np.array(probs)
-    score = np.where(total >= 0.5, (1 - p) * xs[:, None] + p * ys[:, None],
-                     -np.inf).ravel()
-    best = int(np.argmax(score))      # x = y = 0 always wins: best mean >= 0
-    cell, ip = divmod(best, n_p + 1)
-    x, y, p = float(xs[cell]), float(ys[cell]), probs[ip]
-    return float(score[best]), BiasDistribution.from_atoms([(x, 1 - p), (y, p)])

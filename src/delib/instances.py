@@ -125,9 +125,7 @@ def copeland_k2_worst_case(delta: float) -> MetricInstance:
     )
 
 
-def example1_instance(
-    n: int, k: int, delta: float, budget: int = DEFAULT_CANDIDATE_BUDGET,
-) -> MetricInstance:
+def example1_instance(n: int, k: int, delta: float) -> MetricInstance:
     """Star instance with a center candidate c and one candidate c_S per
     k-subset S of the n voters.
 
@@ -142,9 +140,10 @@ def example1_instance(
     if delta <= 0:
         raise ValueError("delta must be positive")
     n_cands = math.comb(n, k) + 1
-    if n_cands > budget:
+    if n_cands > DEFAULT_CANDIDATE_BUDGET:
         raise BudgetExceeded(
-            f"{n_cands} candidates exceed the budget of {budget}"
+            f"{n_cands} candidates exceed the budget of "
+            f"{DEFAULT_CANDIDATE_BUDGET}"
         )
     subsets = list(combinations(range(n), k))
     cand_names = ["c"] + ["c_" + "_".join(str(i) for i in s) for s in subsets]

@@ -62,16 +62,15 @@ class MetricInstance:
     masses: np.ndarray          # aligned with location_ids, sums to 1
     points: tuple[str, ...]     # candidates + non-candidate locations
     dist: np.ndarray            # (P, P) symmetric, zero diagonal
-    _index: dict[str, int] = field(repr=False, default_factory=dict)
+    _index: dict[str, int] = field(init=False, repr=False)
     _location_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.masses.flags.writeable = False
         self.dist.flags.writeable = False
-        if not self._index:
-            object.__setattr__(
-                self, "_index", {p: k for k, p in enumerate(self.points)}
-            )
+        object.__setattr__(
+            self, "_index", {p: k for k, p in enumerate(self.points)}
+        )
         rows = np.array([self._index[lid] for lid in self.location_ids],
                         dtype=int)
         rows.flags.writeable = False
@@ -347,8 +346,9 @@ def instance_to_json(inst: MetricInstance) -> str:
 
 def instance_from_json(text: str) -> MetricInstance:
     """Parse the JSON instance format, rejecting fields of the wrong JSON
-    type rather than coercing them, unknown ids, conflicting duplicate
-    pairs, and incomplete distance tables (self-pairs default to 0).
+    type rather than coercing them. MetricInstance.build then rejects
+    unknown ids, conflicting duplicate pairs, nonzero self-distances and
+    incomplete distance tables (self-pairs default to 0).
     """
     doc = _typed(json.loads(text), dict, "instance")
     candidates = [_typed(c, str, "candidate")
@@ -362,15 +362,7 @@ def instance_from_json(text: str) -> MetricInstance:
         a, _, b = key.partition("|")
         if not b:
             raise InvalidInstance([f"malformed distance key {key!r}"])
-        v = _number(v, f"distance {key!r}")
-        if a == b:
-            if v != 0.0:
-                raise InvalidInstance([f"nonzero self-distance for {a!r}"])
-            continue
-        pair = (a, b) if (b, a) not in distances else (b, a)
-        if pair in distances and distances[pair] != v:
-            raise InvalidInstance([f"conflicting duplicate distance {key!r}"])
-        distances[(a, b)] = v
+        distances[(a, b)] = _number(v, f"distance {key!r}")
     return MetricInstance.build(candidates, locations, distances)
 
 

@@ -398,7 +398,7 @@ def monte_carlo_pk(
         raise ValueError("trials must be >= 1")
     diffs, probs, d12 = _atoms(inst, c1, c2)
     cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)  # guard against rounding at the top
+    cum /= cum[-1]               # as Generator.choice normalizes p
     draw = _inverse_cdf(cum)
     gvals = _atom_gvals(model, diffs, d12)
     successes = sum(

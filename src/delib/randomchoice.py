@@ -52,23 +52,23 @@ from .instances import line_instance_from_bias_distribution
 from .metric import BiasDistribution
 from .models import (
     _MAX_EXACT_K, LINEAR, BiasTransform, ModelConfig, _atom_gvals, _atoms,
-    exact_pk, group_win_probs,
+    group_win_probs,
 )
 
 INFEASIBLE = math.inf      # sentinel: no omega in [0,1] satisfies the constraint
 C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
 GROUP_SIZE_CAP = 4096      # largest k the doubling search will try
-_DIRECT_WEIGHT_MAX_K = 1000   # above this, binomial weights go through lgamma
 _BLOCK_LEVELS = 5             # bisection levels decided per pass of a scalar solve
 _AUDIT_BLOCK_SLOTS = 1 << 20  # member slots per block of a two-atom audit
 
 
 def _binomial_weights(k: int, alphas: np.ndarray) -> np.ndarray:
     """One C-contiguous row per alpha: C(k,l) alpha^l (1-alpha)^(k-l) for
-    l = 1..k along it."""
+    l = 1..k along it; past models._MAX_EXACT_K, where C(k, l) overflows a
+    float, through lgamma."""
     a = np.asarray(alphas, dtype=float)[:, None]
     ell = np.arange(1, k + 1)
-    if k <= _DIRECT_WEIGHT_MAX_K:
+    if k <= _MAX_EXACT_K:
         comb = np.array([float(math.comb(k, l)) for l in range(1, k + 1)])
         with np.errstate(divide="ignore"):
             return comb * a ** ell * (1.0 - a) ** (k - ell)
@@ -369,7 +369,7 @@ def sweep(
     return [zeta(k, g, beta, alpha_step, omega_tol) for k in range(k_min, k_max + 1)]
 
 
-def group_size_for_epsilon(epsilon: float, *, cap: int = GROUP_SIZE_CAP) -> int:
+def group_size_for_epsilon(epsilon: float) -> int:
     """Smallest group size whose distortion_upper is at most 1 + epsilon.
 
     Doubling followed by bisection on the linear-transform, full
@@ -387,9 +387,10 @@ def group_size_for_epsilon(epsilon: float, *, cap: int = GROUP_SIZE_CAP) -> int:
     lo, hi = 1, 2
     while distortion(hi) > target:
         lo, hi = hi, hi * 2
-        if hi > cap:
+        if hi > GROUP_SIZE_CAP:
             raise RuntimeError(
-                f"group size exceeds cap {cap} before reaching 1+{epsilon}"
+                f"group size exceeds cap {GROUP_SIZE_CAP} before reaching "
+                f"1+{epsilon}"
             )
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -434,8 +435,8 @@ def incumbent_feasibility(result: ZetaResult) -> tuple[float, float]:
     """Win probability of the incumbent two-point configuration.
 
     Realizes the argmax distribution (-omega with mass alpha, +1 with mass
-    1 - alpha) on a line instance and evaluates the deliberation rule by
-    exact enumeration, or past models._MAX_EXACT_K by _two_atom_pk. Returns
+    1 - alpha) on a line instance and evaluates the deliberation rule on
+    each of the k + 1 group compositions (_two_atom_pk). Returns
     (win probability, gap), gap being how far it falls short of 1/2. For
     omega > 0 the group-level lottery matches the relaxed constraint exactly
     (a two-point configuration makes every mean substitution tight), so the
@@ -450,6 +451,5 @@ def incumbent_feasibility(result: ZetaResult) -> tuple[float, float]:
         variant="random-choice", k=result.k,
         g=BiasTransform.parse(result.g), beta=result.beta,
     )
-    pk = (exact_pk(inst, model, "W", "X").value if result.k <= _MAX_EXACT_K
-          else _two_atom_pk(inst, model))
+    pk = _two_atom_pk(inst, model)
     return pk, max(0.0, 0.5 - pk)

@@ -12,7 +12,6 @@ from delib.averaging import (
     K2_PARTS,
     THETA2,
     audit_distribution,
-    binary_support_search,
     build_k2_case_program,
     build_k2_part_program,
     build_theta2_program,
@@ -284,46 +283,10 @@ def test_lower_bound_below_upper_bound_for_small_k():
             <= theta_upper_bound_closed_form(k)
 
 
-def _two_point_win_prob(x, y, p, k):
-    """Reference: P[sum of k draws <= 0] for D = x w.p. 1-p, y w.p. p,
-    each composition decided on its correctly rounded sum."""
-    total = 0.0
-    for j in range(k + 1):
-        if math.fsum([y] * j + [x] * (k - j)) <= 0:
-            total += math.comb(k, j) * p**j * (1 - p) ** (k - j)
-    return total
-
-
-def _grid_search_reference(k, value_step=0.05, prob_step=0.01):
-    """The scalar triple loop over (x, y, p) that keeps the first strictly
-    best feasible mean."""
-    best = (-1.0, None)
-    nx = round(1.0 / value_step)
-    n_p = round(1.0 / prob_step)
-    for ix in range(nx + 1):
-        x = -ix * value_step
-        for iy in range(nx + 1):
-            y = iy * value_step
-            for ip in range(n_p + 1):
-                p = ip * prob_step
-                if _two_point_win_prob(x, y, p, k) >= 0.5:
-                    mean = (1 - p) * x + p * y
-                    if mean > best[0]:
-                        best = (mean, (x, y, p))
-    mean, (x, y, p) = best
-    return mean, BiasDistribution.from_atoms([(x, 1 - p), (y, p)])
-
-
-@pytest.mark.parametrize("k, steps", [
-    *((k, ()) for k in range(2, 10)),
-    (4, (0.25, 0.05)), (4, (0.1, 0.02)), (3, (0.3, 0.07)), (5, (0.2, 0.03)),
-])
-def test_binary_support_search_matches_scalar_loop(k, steps):
-    assert binary_support_search(k, *steps) == _grid_search_reference(k, *steps)
-
-
-def test_binary_support_search_lower_bounds_theta():
-    mean, dist = binary_support_search(4, value_step=0.25, prob_step=0.05)
-    assert mean >= theta_lower_bound_closed_form(4) - 1e-9
-    assert audit_distribution(dist, 4) >= 0.5 - 1e-12
-    assert mean <= theta_upper_bound_closed_form(4) + 1e-9
+def test_two_point_witness_beats_closed_form_at_k4():
+    # {-1 w.p. 0.39, +1 w.p. 0.61} has mean 0.22 > 2/(3k); the 2-2 tie
+    # counts for the first alternative under the <= 0 rule
+    dist = BiasDistribution.from_atoms([(-1.0, 0.39), (1.0, 0.61)])
+    assert audit_distribution(dist, 4) >= 0.5
+    assert dist.mean() == pytest.approx(0.22)
+    assert dist.mean() > theta_lower_bound_closed_form(4)

@@ -119,12 +119,15 @@ def test_example1_structure():
     assert w6 < w12 < w20 < 3.0
 
 
-def test_example1_budget():
+def test_example1_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         example1_instance(30, 8, 0.01)
-    # explicit budget raise lets the same request through
-    inst = example1_instance(12, 2, 0.01, budget=100)
-    assert inst.m == 67
+    # the budget admits exactly its count: C(12, 2) + 1 = 67 candidates
+    monkeypatch.setattr(instances, "DEFAULT_CANDIDATE_BUDGET", 66)
+    with pytest.raises(BudgetExceeded, match="67 candidates"):
+        example1_instance(12, 2, 0.01)
+    monkeypatch.setattr(instances, "DEFAULT_CANDIDATE_BUDGET", 67)
+    assert example1_instance(12, 2, 0.01).m == 67
 
 
 def test_example1_default_budget_refuses_before_building(monkeypatch):

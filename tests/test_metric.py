@@ -217,6 +217,18 @@ def test_json_rejects_conflicting_duplicate():
         instance_from_json(json.dumps(doc))
 
 
+def test_json_self_distance_must_be_zero():
+    doc = json.loads(instance_to_json(MetricInstance.build(
+        ["A", "B"], [("v", 1.0)],
+        {("A", "B"): 1.0, ("A", "v"): 1.0, ("B", "v"): 1.0},
+    )))
+    doc["distances"]["A|A"] = 0.0
+    assert instance_from_json(json.dumps(doc)).distance("A", "A") == 0.0
+    doc["distances"]["A|A"] = 5.0
+    with pytest.raises(InvalidInstance):
+        instance_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["locations"][0].update(mass=None),
     lambda doc: doc["locations"][0].update(mass="1.0"),

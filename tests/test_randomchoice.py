@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import delib.randomchoice as rc
-from delib.models import LINEAR, SQRT, BiasTransform
+from delib.instances import line_instance_from_bias_distribution
+from delib.metric import BiasDistribution
+from delib.models import LINEAR, SQRT, BiasTransform, ModelConfig, exact_pk
 from delib.randomchoice import (
     ZetaResult,
     constraint_lhs,
@@ -302,10 +304,14 @@ def test_incumbent_feasibility_reports_boundary_artifact():
     dataclasses.replace(zeta(3), alpha=1.0),    # a one-atom witness
 ], ids=["k2", "k3-sqrt", "k2-beta0.5", "k2-beta0", "k300", "one-atom"])
 def test_two_atom_audit_matches_exact_enumeration(monkeypatch, res):
-    # the log-space binomial sum, used past models._MAX_EXACT_K, agrees
-    # with exact enumeration below it, also split into one-row blocks
-    exact, _ = incumbent_feasibility(res)
-    monkeypatch.setattr(rc, "_MAX_EXACT_K", 0)
+    # the binomial sum over the k + 1 group compositions agrees with exact
+    # enumeration on the same line instance, also split into one-row blocks
+    atoms = [(-res.omega, res.alpha), (1.0, 1.0 - res.alpha)]
+    inst = line_instance_from_bias_distribution(
+        BiasDistribution.from_atoms([(v, p) for v, p in atoms if p > 0.0]))
+    model = ModelConfig(variant="random-choice", k=res.k,
+                        g=BiasTransform.parse(res.g), beta=res.beta)
+    exact = exact_pk(inst, model, "W", "X").value
     assert incumbent_feasibility(res)[0] == pytest.approx(exact, abs=1e-12)
     monkeypatch.setattr(rc, "_AUDIT_BLOCK_SLOTS", 1)
     assert incumbent_feasibility(res)[0] == pytest.approx(exact, abs=1e-12)
@@ -335,11 +341,12 @@ def test_group_size_distortion_actually_clears_threshold():
             assert zeta(k - 1).distortion_upper > 1.0 + eps
 
 
-def test_group_size_validation_and_cap():
+def test_group_size_validation_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         group_size_for_epsilon(0.0)
-    with pytest.raises(RuntimeError):
-        group_size_for_epsilon(1e-9, cap=8)
+    monkeypatch.setattr(rc, "GROUP_SIZE_CAP", 8)
+    with pytest.raises(RuntimeError, match="cap 8"):
+        group_size_for_epsilon(1e-9)
 
 
 def test_group_size_closed_form():
@@ -365,11 +372,13 @@ def test_binomial_weights_direct_matches_fractions():
 
 
 def test_binomial_weights_lgamma_path_consistent(monkeypatch):
+    # k = 1029 is models._MAX_EXACT_K, the last k with direct weights
     alphas = np.linspace(0.01, 0.99, 9)
-    direct = rc._binomial_weights(40, alphas)
-    monkeypatch.setattr(rc, "_DIRECT_WEIGHT_MAX_K", 10)
-    logged = rc._binomial_weights(40, alphas)
-    assert np.max(np.abs(direct - logged)) <= 1e-12
+    direct = {k: rc._binomial_weights(k, alphas) for k in (40, 1029)}
+    monkeypatch.setattr(rc, "_MAX_EXACT_K", 10)
+    for k, want in direct.items():
+        logged = rc._binomial_weights(k, alphas)
+        assert np.max(np.abs(want - logged)) <= 1e-12
 
 
 def test_binomial_weights_large_k_rows_normalize():
@@ -386,7 +395,7 @@ def test_binomial_weights_large_k_rows_normalize():
 
 def test_zeta_unaffected_by_weight_path(monkeypatch):
     before = zeta(12).value
-    monkeypatch.setattr(rc, "_DIRECT_WEIGHT_MAX_K", 2)
+    monkeypatch.setattr(rc, "_MAX_EXACT_K", 2)
     after = zeta(12).value
     assert after == pytest.approx(before, abs=1e-10)
 

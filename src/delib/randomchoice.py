@@ -29,6 +29,16 @@ relying on the float constraint being monotone. On the alpha grid only
 the alphas that are feasible at omega = 1 and not already feasible at
 omega = 0 are bisected.
 
+Consecutive alphas of the golden-section refinement lie close together,
+so their bisections share most of their first levels. Each refinement
+solve takes the omega of the last feasible one as a hint: its first pass
+evaluates every midpoint on the path the hint's own decisions would take,
+the walk follows that path while the new decisions agree, and blocks
+finish the levels after the first disagreement. Each decision is still
+the sequential bisection's, at its midpoint, so the hint changes the
+number of passes (about 410 per zeta call without it, 157-208 with it,
+for k = 4, 8 and 30) and never a bit of the result.
+
 Summation order is part of the result, so every constraint evaluation
 puts one case per C-contiguous row and sums its k terms along that row.
 The grid and a single alpha then give the same omega bit for bit.
@@ -97,8 +107,10 @@ def _lhs_array(
     den = num + (k - ell)
     # den is 0 only where num is (l = k at g(omega) = 0), and that term is
     # 0; flooring den at the least subnormal leaves every other den as is
-    frac = num / np.maximum(den, math.ulp(0.0))
-    return beta * (weights * frac).sum(axis=1) + (1.0 - beta) * alphas
+    np.maximum(den, math.ulp(0.0), out=den)
+    np.divide(num, den, out=num)
+    np.multiply(weights, num, out=num)
+    return beta * num.sum(axis=1) + (1.0 - beta) * alphas
 
 
 def constraint_lhs(
@@ -171,14 +183,48 @@ def _subdivide(lo: float, hi: float, levels: int) -> list[float]:
 
 def _min_omega(
     k: int, alpha: float, g: BiasTransform, beta: float, tol: float,
+    hint: float | None = None,
 ) -> float:
     """Smallest feasible omega for one alpha: the bisection of
     _min_omega_array, decided _BLOCK_LEVELS levels per pass. The first
-    pass also tests omega = 1 (feasibility) and omega = 0."""
+    pass also tests omega = 1 (feasibility) and omega = 0.
+
+    A hint is an omega solved at a nearby alpha. With one, the first pass
+    tests omega = 1, omega = 0 and the midpoints of every level on the
+    bisection path that decides "feasible iff mid >= hint". The walk
+    follows that path while this alpha's decisions agree with the hint's,
+    takes the first decision that differs, and bisects the levels left
+    from there by blocks. Every decision is the one the bisection without
+    a hint makes at the same midpoint, so the result is the same bit for
+    bit for any hint, inf and NaN included; a poor hint costs passes only.
+    """
     w = _binomial_weights(k, np.array([alpha]))
     lo, hi = 0.0, 1.0
     ends = [1.0, 0.0]
     steps = _bisection_steps(tol)
+    if hint is not None:
+        path = []
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            path.append(mid)
+            if mid >= hint:
+                hi = mid
+            else:
+                lo = mid
+        ok = (_lhs_array(k, w, alpha, ends + path, g, beta) >= 0.5).tolist()
+        if not ok[0]:
+            return INFEASIBLE
+        if ok[1]:
+            return 0.0
+        lo, hi, ends = 0.0, 1.0, []
+        for mid, fits in zip(path, ok[2:]):
+            if fits:
+                hi = mid
+            else:
+                lo = mid
+            steps -= 1
+            if fits != (mid >= hint):
+                break
     while steps > 0:
         levels = min(steps, _BLOCK_LEVELS)
         pts = _subdivide(lo, hi, levels)
@@ -214,8 +260,8 @@ def min_feasible_omega(
     tol scale (the alpha = 1 corner is feasible for every omega > 0 but
     not at 0).
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_unit("alpha", alpha)
     _check_unit("beta", beta)
     if k < 1:
@@ -323,8 +369,9 @@ def zeta(
     _check_unit("beta", beta)
     if not (0.0 < alpha_step <= 1.0):
         raise ValueError(f"alpha_step must be in (0,1], got {alpha_step!r}")
-    if omega_tol <= 0.0:
-        raise ValueError(f"omega_tol must be positive, got {omega_tol!r}")
+    if not (0.0 < omega_tol < math.inf):
+        raise ValueError(
+            f"omega_tol must be positive and finite, got {omega_tol!r}")
     n = max(1, round(1.0 / alpha_step))
     grid = np.arange(n + 1) / n
     omg = _min_omega_array(k, grid, g, beta, omega_tol)
@@ -336,9 +383,15 @@ def zeta(
         raise RuntimeError("no feasible alpha on the grid")
     best_v, best_a, best_w = float(obj[i]), float(grid[i]), float(omg[i])
 
+    hint = best_w  # the omega of the last feasible solve, for the next
+
     def objective(a: float) -> tuple[float, float]:
-        w = _min_omega(k, a, g, beta, omega_tol)
-        return ((1.0 - a) - a * w if math.isfinite(w) else -math.inf), w
+        nonlocal hint
+        w = _min_omega(k, a, g, beta, omega_tol, hint)
+        if not math.isfinite(w):
+            return -math.inf, w
+        hint = w
+        return (1.0 - a) - a * w, w
 
     lo = max(0.0, best_a - 1.0 / n)
     hi = min(1.0, best_a + 1.0 / n)

@@ -237,6 +237,18 @@ def test_solve_random_payload(capsys):
     assert payload["incumbent_gap"] <= 1e-9
 
 
+@pytest.mark.parametrize("cmd", [["solve-random", "--k", "3"],
+                                 ["sweep-random", "--k-min", "2",
+                                  "--k-max", "3"]])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_random_commands_reject_nonfinite_omega_tol(capsys, cmd, tol):
+    assert main(cmd + ["--omega-tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: omega_tol must be positive and finite, got {tol}\n")
+
+
 def test_solve_random_audits_groups_past_exact_enumeration(capsys):
     # past models._MAX_EXACT_K the binomials overflow a float, so the
     # two-atom witness is audited with log-space weights

@@ -138,15 +138,48 @@ def _sequential_min_omega(k, alpha, g, beta, tol):
 
 
 _units = st.floats(0.0, 1.0)
+# The replay identities assume g.apply gives an element the same value in
+# any batch; a pow: transform tests that beyond the two named ones.
+_transforms = st.sampled_from([LINEAR, SQRT, BiasTransform.parse("pow:0.3")])
 
 
-@given(k=st.integers(1, 60), alpha=_units, beta=_units,
-       g=st.sampled_from([LINEAR, SQRT]),
+@given(k=st.integers(1, 60), alpha=_units, beta=_units, g=_transforms,
        tol=st.floats(1e-12, 0.3))
 def test_scalar_solve_replays_sequential_bisection(k, alpha, beta, g, tol):
     want = _sequential_min_omega(k, alpha, g, beta, tol)
     got = min_feasible_omega(k, alpha, g, beta, tol)
     assert got.hex() == want.hex()
+
+
+@given(k=st.integers(1, 60), alpha=_units, beta=_units, g=_transforms,
+       tol=st.floats(1e-15, 0.3), hint=_units)
+@example(k=4, alpha=0.84, beta=1.0, g=LINEAR, tol=1e-9, hint=0.0)
+@example(k=4, alpha=0.84, beta=1.0, g=LINEAR, tol=1e-9, hint=1.0)
+@example(k=9, alpha=0.7, beta=1.0, g=SQRT, tol=1e-9, hint=math.inf)
+@example(k=9, alpha=0.7, beta=1.0, g=SQRT, tol=1e-9, hint=math.nan)
+def test_hinted_solve_matches_unhinted(k, alpha, beta, g, tol, hint):
+    # a hint only picks the path the first pass tests; with the exact
+    # answer as the hint the whole path agrees
+    want = min_feasible_omega(k, alpha, g, beta, tol)
+    for h in (hint, want):
+        assert rc._min_omega(k, alpha, g, beta, tol, h).hex() == want.hex()
+
+
+@pytest.mark.parametrize("k", [4, 8, 30])
+@pytest.mark.parametrize("g", [LINEAR, SQRT])
+def test_zeta_constraint_passes(monkeypatch, k, g):
+    # the golden-section refinement starts each bisection from the path of
+    # the omega before it; without the hint zeta makes 410 passes
+    passes = []
+    lhs = rc._lhs_array
+
+    def counted(*args):
+        passes.append(1)
+        return lhs(*args)
+
+    monkeypatch.setattr(rc, "_lhs_array", counted)
+    zeta(k, g)
+    assert len(passes) <= 210
 
 
 @pytest.mark.parametrize("alpha_step", [0.7, 0.5, 1e-2])
@@ -169,8 +202,7 @@ def test_pruned_grid_replays_sequential_bisection(alpha_step, k):
 
 
 @given(k=st.integers(1, 60), alphas=st.lists(_units, min_size=1, max_size=30),
-       beta=_units, g=st.sampled_from([LINEAR, SQRT]),
-       tol=st.floats(1e-15, 0.3))
+       beta=_units, g=_transforms, tol=st.floats(1e-15, 0.3))
 @example(k=8, alphas=(np.arange(21) / 20).tolist(), beta=1.0, g=LINEAR,
          tol=1e-15)
 def test_grid_and_single_alpha_solves_agree(k, alphas, beta, g, tol):
@@ -257,6 +289,17 @@ def test_zeta_validation():
         zeta(2, alpha_step=0.0)
     with pytest.raises(ValueError):
         zeta(2, omega_tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_tolerances_must_be_positive_and_finite(tol):
+    message = "tol must be positive and finite"
+    with pytest.raises(ValueError, match="omega_" + message):
+        zeta(3, omega_tol=tol)
+    with pytest.raises(ValueError, match="omega_" + message):
+        sweep(2, 3, omega_tol=tol)
+    with pytest.raises(ValueError, match="^" + message):
+        min_feasible_omega(3, 0.8, tol=tol)
 
 
 def test_zeta_result_coerces_and_validates():

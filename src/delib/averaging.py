@@ -202,8 +202,8 @@ def build_k2_case_program(case: int, beta: float) -> BoxProgram:
     """
     if case not in K2_CASES:
         raise ValueError(f"case must be 1 or 2, got {case}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     b_rng = (0.0, 1.0) if case == 1 else (1.0, 100.0)
     B, p, q, r, s, t = (Var(v) for v in "Bpqrst")
     win = (p + q) ** 2 + 2 * p * (r + s) + 2 * q * r
@@ -238,8 +238,8 @@ def build_k2_part_program(part: str, beta: float) -> BoxProgram:
     """
     if part not in K2_PARTS:
         raise ValueError(f"part must be one of {K2_PARTS}, got {part!r}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     p, q, s, t = (Var(v) for v in "pqst")
     r = 1 - p - q - s - t
 
@@ -288,8 +288,9 @@ def solve_k2_parts(
     boxes. threads caps how many of the last two solve concurrently; each
     solve is deterministic, so the result does not depend on it.
     """
-    if beta_distortion <= 0:
-        raise ValueError("beta_distortion must be positive")
+    if not (0.0 < beta_distortion < math.inf):
+        raise ValueError("beta_distortion must be positive and finite, "
+                         f"got {beta_distortion!r}")
     run = partial(_solve_k2_part, beta=beta_distortion, tol=tol,
                   max_boxes=max_boxes)
     b1 = run("B1", targets={})

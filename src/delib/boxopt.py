@@ -527,6 +527,8 @@ def solve_global(
     """
     if branching not in ("smear", "widest"):
         raise ValueError(f"unknown branching rule: {branching!r}")
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     tape = prog._tape
     inc_val = -math.inf
     inc_x: np.ndarray | None = None

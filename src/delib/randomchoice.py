@@ -20,28 +20,16 @@ refinement in the best cell plus one analytic candidate, the boundary
 alpha where the omega -> 0+ limit of the constraint is tight (for the
 linear transform this is alpha = 2**(-1/k), and the optimum sits there).
 
-The binary search for one alpha is evaluated several levels per numpy
-pass: one pass computes the constraint at all 2**d - 1 midpoints of the
-next d levels, each formed as 0.5 * (lo + hi) from its neighbours, and
-the path through them is then walked in Python. That replays the
-one-level-at-a-time bisection exactly, decision for decision, without
-relying on the float constraint being monotone. On the alpha grid only
-the alphas that are feasible at omega = 1 and not already feasible at
-omega = 0 are bisected.
-
-Consecutive alphas of the golden-section refinement lie close together,
-so their bisections share most of their first levels. Each refinement
-solve takes the omega of the last feasible one as a hint: its first pass
-evaluates every midpoint on the path the hint's own decisions would take,
-the walk follows that path while the new decisions agree, and blocks
-finish the levels after the first disagreement. Each decision is still
-the sequential bisection's, at its midpoint, so the hint changes the
-number of passes (about 410 per zeta call without it, 157-208 with it,
-for k = 4, 8 and 30) and never a bit of the result.
-
-Summation order is part of the result, so every constraint evaluation
-puts one case per C-contiguous row and sums its k terms along that row.
-The grid and a single alpha then give the same omega bit for bit.
+The grid solve bisects all alphas of the grid together, one level per
+numpy pass, and only those feasible at omega = 1 and not already at
+omega = 0. The golden-section refinement solves one alpha at a time,
+hinted by the omega of the last feasible solve: one pass tests every
+midpoint on the path the hint's own decisions take, the walk follows it
+while the new decisions agree, and passes of several levels finish the
+rest. Each decision is the sequential bisection's at its midpoint, and
+every constraint evaluation sums a case's k terms along one C-contiguous
+row, so both solves give the same omega bit for bit; a hint changes the
+number of passes only.
 
 The inversion group_size_for_epsilon finds the smallest group size whose
 distortion_upper from zeta() beats 1 + epsilon. group_size_closed_form
@@ -183,59 +171,50 @@ def _subdivide(lo: float, hi: float, levels: int) -> list[float]:
 
 def _min_omega(
     k: int, alpha: float, g: BiasTransform, beta: float, tol: float,
-    hint: float | None = None,
+    hint: float,
 ) -> float:
-    """Smallest feasible omega for one alpha: the bisection of
-    _min_omega_array, decided _BLOCK_LEVELS levels per pass. The first
-    pass also tests omega = 1 (feasibility) and omega = 0.
+    """Smallest feasible omega for one alpha, by the bisection of
+    _min_omega_array, started from a hint: an omega solved at a nearby
+    alpha.
 
-    A hint is an omega solved at a nearby alpha. With one, the first pass
-    tests omega = 1, omega = 0 and the midpoints of every level on the
-    bisection path that decides "feasible iff mid >= hint". The walk
-    follows that path while this alpha's decisions agree with the hint's,
-    takes the first decision that differs, and bisects the levels left
-    from there by blocks. Every decision is the one the bisection without
-    a hint makes at the same midpoint, so the result is the same bit for
-    bit for any hint, inf and NaN included; a poor hint costs passes only.
+    The first pass tests omega = 1 (feasibility), omega = 0 and the
+    midpoints of every level on the bisection path that decides "feasible
+    iff mid >= hint". The walk follows that path while this alpha's
+    decisions agree with the hint's, takes the first decision that
+    differs, and bisects the levels left from there, _BLOCK_LEVELS levels
+    per pass. Every decision is the sequential bisection's at the same
+    midpoint, so the result is the same bit for bit for any hint, inf and
+    NaN included; a poor hint costs passes only.
     """
     w = _binomial_weights(k, np.array([alpha]))
-    lo, hi = 0.0, 1.0
-    ends = [1.0, 0.0]
     steps = _bisection_steps(tol)
-    if hint is not None:
-        path = []
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            path.append(mid)
-            if mid >= hint:
-                hi = mid
-            else:
-                lo = mid
-        ok = (_lhs_array(k, w, alpha, ends + path, g, beta) >= 0.5).tolist()
-        if not ok[0]:
-            return INFEASIBLE
-        if ok[1]:
-            return 0.0
-        lo, hi, ends = 0.0, 1.0, []
-        for mid, fits in zip(path, ok[2:]):
-            if fits:
-                hi = mid
-            else:
-                lo = mid
-            steps -= 1
-            if fits != (mid >= hint):
-                break
+    lo, hi = 0.0, 1.0
+    path = []
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid >= hint:
+            hi = mid
+        else:
+            lo = mid
+    ok = (_lhs_array(k, w, alpha, [1.0, 0.0] + path, g, beta) >= 0.5).tolist()
+    if not ok[0]:
+        return INFEASIBLE
+    if ok[1]:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for mid, fits in zip(path, ok[2:]):
+        if fits:
+            hi = mid
+        else:
+            lo = mid
+        steps -= 1
+        if fits != (mid >= hint):
+            break
     while steps > 0:
         levels = min(steps, _BLOCK_LEVELS)
         pts = _subdivide(lo, hi, levels)
-        ok = (_lhs_array(k, w, alpha, ends + pts[1:-1], g, beta)
-              >= 0.5).tolist()
-        if ends:
-            if not ok[0]:
-                return INFEASIBLE
-            if ok[1]:
-                return 0.0
-            ok, ends = ok[2:], []
+        ok = (_lhs_array(k, w, alpha, pts[1:-1], g, beta) >= 0.5).tolist()
         i, j = 0, len(pts) - 1
         while j - i > 1:
             m = (i + j) // 2
@@ -252,7 +231,8 @@ def min_feasible_omega(
     k: int, alpha: float, g: BiasTransform = LINEAR, beta: float = 1.0,
     tol: float = 1e-9,
 ) -> float:
-    """Binary search for the smallest omega satisfying the win constraint.
+    """Smallest omega satisfying the win constraint: the grid bisection of
+    _min_omega_array on a one-alpha grid.
 
     Returns INFEASIBLE (math.inf) when even omega = 1 fails. Returns 0.0
     only when omega = 0 itself satisfies the constraint under the boundary
@@ -266,7 +246,7 @@ def min_feasible_omega(
     _check_unit("beta", beta)
     if k < 1:
         raise ValueError(f"group size must be >= 1, got {k}")
-    return _min_omega(k, float(alpha), g, beta, tol)
+    return float(_min_omega_array(k, np.array([alpha]), g, beta, tol)[0])
 
 
 @dataclass
@@ -317,14 +297,14 @@ class ZetaResult:
         )
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 60):
-    """Golden-section search on the first item of f(x) = (value, ...);
-    returns (x, *f(x)) at the best point."""
+def _golden_max(f, lo: float, hi: float):
+    """Golden-section search, 60 steps, on the first item of
+    f(x) = (value, ...); returns (x, *f(x)) at the best point."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - ratio * (hi - lo)
     x2 = lo + ratio * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(60):
         if f1[0] < f2[0]:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + ratio * (hi - lo)
@@ -428,8 +408,9 @@ def group_size_for_epsilon(epsilon: float) -> int:
     Doubling followed by bisection on the linear-transform, full
     opinion-change model (the asymptotic guarantee is specific to it).
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
     target = 1.0 + epsilon
 
     def distortion(k: int) -> float:
@@ -461,8 +442,9 @@ def group_size_closed_form(epsilon: float) -> int:
     Asymptotic companion to group_size_for_epsilon; clamped below at 1
     (large epsilon makes the formula vacuous).
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
     delta = epsilon / C_EPSILON_PER_DELTA
     return math.ceil(max(1.0, 4.0 / delta**2 * math.log(2.0 / delta)))
 

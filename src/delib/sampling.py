@@ -96,6 +96,9 @@ class SampleRunConfig:
             raise ValueError("MatchingGroups requires the random-choice variant")
         if self.mode == RANKING_GROUPS and self.model.variant != "averaging":
             raise ValueError("RankingGroups requires the averaging variant")
+        if self.epsilon is not None and not (0.0 <= self.epsilon < math.inf):
+            raise ValueError("epsilon must be non-negative and finite, "
+                             f"got {self.epsilon!r}")
 
 
 def _prepare(config: SampleRunConfig):

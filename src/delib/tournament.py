@@ -12,6 +12,7 @@ winner beats, and so outscore it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,8 @@ def default_tol(pm: PMatrix) -> float:
 def build_tournament(pm: PMatrix, tol: float | None = None) -> Tournament:
     if tol is None:
         tol = default_tol(pm)
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     beats = (pm.p >= 0.5 - tol) & ~np.eye(pm.m, dtype=bool)
     return Tournament(pm.candidates, beats, tol)
 

@@ -116,6 +116,19 @@ def test_solve_copeland_k2_rejects_nonpositive_beta():
         solve_copeland_k2(0.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -1.0])
+def test_k2_chain_requires_positive_finite_beta(beta):
+    # an infinite beta would certify only distortion <= inf, and a NaN one
+    # would fail later, on non-finite root enclosures
+    with pytest.raises(ValueError, match="^beta must be positive and finite"):
+        build_k2_case_program(1, beta)
+    with pytest.raises(ValueError, match="^beta must be positive and finite"):
+        build_k2_part_program("B1", beta)
+    with pytest.raises(ValueError,
+                       match="^beta_distortion must be positive and finite"):
+        solve_k2_parts(beta)
+
+
 def test_k2_slope_is_certified_negative_above_threshold():
     # the slope bound carries case 2 from B = 1 to every B >= 1
     parts = solve_k2_parts(3.4152)

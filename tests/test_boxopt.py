@@ -71,6 +71,21 @@ def test_budget_exhausted_without_incumbent():
     assert res.bound >= 2.0 and res.gap == math.inf
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf, -math.inf])
+def test_tolerance_must_be_non_negative_and_finite(tol):
+    # no gap is <= a NaN or negative tol, so the solve would run to
+    # max_boxes; an infinite tol would certify after the first epoch
+    with pytest.raises(ValueError,
+                       match="tol must be non-negative and finite"):
+        solve_global(_corner_program("<="), tol=tol, max_boxes=10)
+
+
+def test_zero_tolerance_is_allowed():
+    res = solve_global(_corner_program("<="), tol=0.0, max_boxes=10)
+    assert res.tol == 0.0 and res.status == BUDGET_EXHAUSTED
+    assert res.bound >= 1.5 >= res.value
+
+
 def test_deterministic_across_runs():
     a = solve_global(_corner_program("<="), tol=1e-6)
     b = solve_global(_corner_program("<="), tol=1e-6)

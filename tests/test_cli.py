@@ -237,16 +237,53 @@ def test_solve_random_payload(capsys):
     assert payload["incumbent_gap"] <= 1e-9
 
 
+def _assert_error(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("cmd", [["solve-random", "--k", "3"],
                                  ["sweep-random", "--k-min", "2",
                                   "--k-max", "3"]])
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_random_commands_reject_nonfinite_omega_tol(capsys, cmd, tol):
     assert main(cmd + ["--omega-tol", tol]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: omega_tol must be positive and finite, got {tol}\n")
+    _assert_error(capsys, f"omega_tol must be positive and finite, got {tol}")
+
+
+@pytest.mark.parametrize("cmd", ["tournament", "pipeline"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_tournament_commands_reject_a_nonfinite_tol(line_files, capsys, cmd,
+                                                    tol):
+    inst, model = line_files
+    assert main([cmd, "--instance", inst, "--model", model,
+                 f"--tol={tol}"]) == 1
+    _assert_error(capsys, f"tol must be finite, got {tol}")
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1"])
+def test_sample_sim_rejects_an_epsilon_not_non_negative_and_finite(
+        line_files, capsys, epsilon):
+    inst, model = line_files
+    assert main(["sample-sim", "--instance", inst, "--model", model,
+                 "--groups", "20", "--epsilon", epsilon]) == 1
+    _assert_error(capsys,
+                  f"epsilon must be non-negative and finite, got {epsilon}")
+
+
+def test_solve_copeland_k2_rejects_a_nan_tol(capsys):
+    # no gap is <= NaN, so each solve would run to its budget and exit 0
+    assert main(["solve-copeland-k2", "--beta", "3.4152", "--tol", "nan",
+                 "--budget", "10"]) == 1
+    _assert_error(capsys, "tol must be non-negative and finite, got nan")
+
+
+@pytest.mark.parametrize("beta", ["inf", "nan"])
+def test_solve_copeland_k2_rejects_a_nonfinite_beta(capsys, beta):
+    assert main(["solve-copeland-k2", "--beta", beta, "--budget", "10"]) == 1
+    _assert_error(capsys,
+                  f"beta_distortion must be positive and finite, got {beta}")
 
 
 def test_solve_random_audits_groups_past_exact_enumeration(capsys):

@@ -160,7 +160,7 @@ def test_scalar_solve_replays_sequential_bisection(k, alpha, beta, g, tol):
 def test_hinted_solve_matches_unhinted(k, alpha, beta, g, tol, hint):
     # a hint only picks the path the first pass tests; with the exact
     # answer as the hint the whole path agrees
-    want = min_feasible_omega(k, alpha, g, beta, tol)
+    want = _sequential_min_omega(k, alpha, g, beta, tol)
     for h in (hint, want):
         assert rc._min_omega(k, alpha, g, beta, tol, h).hex() == want.hex()
 
@@ -206,9 +206,10 @@ def test_pruned_grid_replays_sequential_bisection(alpha_step, k):
 @example(k=8, alphas=(np.arange(21) / 20).tolist(), beta=1.0, g=LINEAR,
          tol=1e-15)
 def test_grid_and_single_alpha_solves_agree(k, alphas, beta, g, tol):
-    # one bracket per alpha: the grid solve and the one-alpha solve return
-    # the same omega to the last bit (at k = 8, alpha = 0.65 they used to
-    # differ by a few ulps)
+    # one bracket per alpha: a batch of alphas gives each the omega a
+    # one-alpha grid gives it, min_feasible_omega's, to the last bit (at
+    # k = 8, alpha = 0.65 a batch and a single alpha used to differ by a
+    # few ulps)
     got = rc._min_omega_array(k, np.array(alphas), g, beta, tol)
     want = [min_feasible_omega(k, a, g, beta, tol) for a in alphas]
     assert got.tobytes() == np.array(want).tobytes()
@@ -395,6 +396,17 @@ def test_group_size_validation_and_cap(monkeypatch):
 def test_group_size_closed_form():
     assert group_size_closed_form(0.9) == 4
     assert group_size_closed_form(0.1) == 1199
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+def test_group_sizes_require_positive_finite_epsilon(epsilon):
+    # unchecked, a NaN epsilon gives sizes 2 and 1, and an infinite one
+    # size 1 and a math domain error
+    message = "^epsilon must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        group_size_for_epsilon(epsilon)
+    with pytest.raises(ValueError, match=message):
+        group_size_closed_form(epsilon)
 
 
 # -- binomial weights ------------------------------------------------------------

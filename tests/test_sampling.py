@@ -68,6 +68,17 @@ def test_config_validation(small_line_instance):
     SampleRunConfig(inst, _rc(), groups=5, mode=MATCHING_GROUPS)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1])
+def test_config_requires_non_negative_finite_epsilon(small_line_instance,
+                                                     epsilon):
+    # no error is <= a NaN epsilon, so frac_within_epsilon would read 0
+    with pytest.raises(ValueError,
+                       match="epsilon must be non-negative and finite"):
+        SampleRunConfig(small_line_instance, _avg(), groups=5,
+                        epsilon=epsilon)
+    SampleRunConfig(small_line_instance, _avg(), groups=5, epsilon=0.0)
+
+
 def test_degenerate_pair_estimates_hit_one():
     # both voters sit strictly closer to A, so every sampled group agrees
     inst = MetricInstance.build(

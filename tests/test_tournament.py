@@ -129,6 +129,14 @@ def test_build_tournament_beats_and_half_points():
     assert copeland_winner(t) == "a"
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_build_tournament_requires_a_finite_tol(tol):
+    # with a NaN tol no pair would beat another, and every candidate tie
+    p = np.array([[np.nan, 0.7], [0.3, np.nan]])
+    with pytest.raises(ValueError, match="tol must be finite"):
+        build_tournament(PMatrix(("a", "b"), p, "Exact"), tol=tol)
+
+
 def test_copeland_splits_the_point_of_a_pair_neither_side_beats():
     # A and B at distance 2 with mass 0.3 near each and 0.4 midway. Random
     # choice with k = 1 and beta = 0 follows the lone member, who counts for

@@ -275,7 +275,7 @@ def _solve_k2_part(part, beta, targets, **solve_kw):
 
 
 def solve_k2_parts(
-    beta_distortion: float,
+    beta: float,
     tol: float = 1e-4,
     max_boxes: int = 2_000_000,
     threads: int = 1,
@@ -288,11 +288,7 @@ def solve_k2_parts(
     boxes. threads caps how many of the last two solve concurrently; each
     solve is deterministic, so the result does not depend on it.
     """
-    if not (0.0 < beta_distortion < math.inf):
-        raise ValueError("beta_distortion must be positive and finite, "
-                         f"got {beta_distortion!r}")
-    run = partial(_solve_k2_part, beta=beta_distortion, tol=tol,
-                  max_boxes=max_boxes)
+    run = partial(_solve_k2_part, beta=beta, tol=tol, max_boxes=max_boxes)
     b1 = run("B1", targets={})
     rest = _solve_cases(partial(run, targets={"B0": b1.bound, "slope": 0.0}),
                         ("B0", "slope"), threads)
@@ -338,7 +334,7 @@ def k2_case_certificates(
 
 
 def solve_copeland_k2(
-    beta_distortion: float,
+    beta: float,
     tol: float = 1e-4,
     max_boxes: int = 2_000_000,
     threads: int = 1,
@@ -354,7 +350,7 @@ def solve_copeland_k2(
     slope solves concurrently and does not change the result.
     """
     return k2_case_certificates(
-        solve_k2_parts(beta_distortion, tol, max_boxes, threads))
+        solve_k2_parts(beta, tol, max_boxes, threads))
 
 
 # ---------------------------------------------------------------------------

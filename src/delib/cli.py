@@ -13,6 +13,7 @@ IO failures), 2 usage error (unparseable or inconsistent flags).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -77,19 +78,22 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _meta(command: str, config: dict, seed) -> dict:
+    """The header of every output: version, command, seed and config."""
+    return {"version": __version__, "command": command,
+            "seed": seed, "config": config}
+
+
 def _emit_json(command: str, config: dict, payload: dict,
                out: str | None, seed=None) -> None:
-    doc = {"version": __version__, "command": command,
-           "seed": seed, "config": config}
+    doc = _meta(command, config, seed)
     doc.update(payload)
     _write(json.dumps(doc, indent=2) + "\n", out)
 
 
 def _csv_text(command: str, config: dict, columns, rows, seed=None) -> str:
-    meta = {"version": __version__, "command": command,
-            "seed": seed, "config": config}
-    lines = [f"# delib {json.dumps(meta, sort_keys=True)}",
-             ",".join(columns)]
+    meta = json.dumps(_meta(command, config, seed), sort_keys=True)
+    lines = [f"# delib {meta}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(
             v if isinstance(v, str) else repr(v) for v in row
@@ -97,9 +101,22 @@ def _csv_text(command: str, config: dict, columns, rows, seed=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_model(path: str) -> ModelConfig:
-    with open(path) as fh:
-        return ModelConfig.from_json(fh.read())
+def _sweep_csv(command: str, config: dict, results) -> str:
+    return _csv_text(command, config, SWEEP_COLUMNS, [
+        (r.k, r.value, r.alpha, r.omega,
+         r.distortion_upper, r.det_lb, r.rand_lb)
+        for r in results
+    ])
+
+
+def _load(args):
+    """Read --instance and --model. Returns both, the config that reports
+    them, and the seed to report: null unless --trials samples."""
+    inst = load_instance(args.instance)
+    with open(args.model) as fh:
+        model = ModelConfig.from_json(fh.read())
+    config = {"instance": args.instance, "model": json.loads(model.to_json())}
+    return inst, model, config, None if args.trials is None else args.seed
 
 
 def _given(**kwargs) -> dict:
@@ -110,24 +127,14 @@ def _given(**kwargs) -> dict:
 
 def _elect(args):
     """Load the instance and model, build the P-matrix and the tournament,
-    and elect the Copeland winner. Also returns the config that the
-    tournament and pipeline commands report."""
-    inst = load_instance(args.instance)
-    model = _load_model(args.model)
-    mode = "exact" if args.trials is None else MonteCarlo(args.trials, args.seed)
+    and elect the Copeland winner. Also returns the config and seed that
+    the tournament and pipeline commands report."""
+    inst, model, config, seed = _load(args)
+    mode = "exact" if seed is None else MonteCarlo(args.trials, seed)
     pm = build_pmatrix(inst, model, mode)
     t = build_tournament(pm, args.tol)
-    config = {"instance": args.instance, "model": json.loads(model.to_json()),
-              "trials": args.trials, "tol": t.tol}
-    return inst, pm, t, copeland_winner(t), config
-
-
-def _sweep_rows(results):
-    return [
-        (r.k, r.value, r.alpha, r.omega,
-         r.distortion_upper, r.det_lb, r.rand_lb)
-        for r in results
-    ]
+    config.update(trials=args.trials, tol=t.tol)
+    return inst, pm, t, copeland_winner(t), config, seed
 
 
 # ---------------------------------------------------------------------------
@@ -148,49 +155,31 @@ def _cmd_validate(args) -> int:
 
 def _cmd_gen_instance(args) -> int:
     build = FAMILIES[args.family]
-    params: dict = {}
-    if args.family == "lb1":
-        _require(args.k is not None, "--k is required for family lb1")
-        params = {"k": args.k}
-        inst = build(args.k)
-    elif args.family == "theta2-extremal":
-        inst = build()
-    elif args.family == "copeland-k2":
-        _require(args.delta is not None,
-                 "--delta is required for family copeland-k2")
-        params = {"delta": args.delta}
-        inst = build(args.delta)
-    else:   # example1
-        _require(
-            None not in (args.n, args.k, args.delta),
-            "--n, --k and --delta are required for family example1",
-        )
-        params = {"n": args.n, "k": args.k, "delta": args.delta}
-        inst = build(args.n, args.k, args.delta)
-    doc = json.loads(instance_to_json(inst))
-    doc["meta"] = {"version": __version__, "command": "gen-instance",
-                   "seed": None,
-                   "config": {"family": args.family, **params}}
+    params = {name: getattr(args, name)
+              for name in inspect.signature(build).parameters}
+    if None in params.values():
+        *rest, last = (f"--{name}" for name in params)
+        need = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
+        raise UsageError(f"{need} required for family {args.family}")
+    doc = json.loads(instance_to_json(build(**params)))
+    doc["meta"] = _meta("gen-instance", {"family": args.family, **params},
+                        None)
     _write(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_pk(args) -> int:
-    inst = load_instance(args.instance)
-    model = _load_model(args.model)
+    inst, model, config, seed = _load(args)
     if args.pair is not None:
         c1, c2 = _split_pair(args.pair)
     else:
         _require(inst.m >= 2, "instance has fewer than two candidates")
         c1, c2 = inst.candidates[0], inst.candidates[1]
-    config = {"instance": args.instance, "model": json.loads(model.to_json()),
-              "pair": [c1, c2], "trials": args.trials}
-    if args.trials is not None:
-        res = monte_carlo_pk(inst, model, c1, c2, args.trials, args.seed)
-        seed = args.seed
+    config.update(pair=[c1, c2], trials=args.trials)
+    if seed is not None:
+        res = monte_carlo_pk(inst, model, c1, c2, args.trials, seed)
     else:
         res = exact_pk(inst, model, c1, c2, budget=args.budget)
-        seed = None
     _emit_json("pk", config,
                {"value": res.value, "stderr": res.stderr,
                 "method": res.method},
@@ -199,7 +188,7 @@ def _cmd_pk(args) -> int:
 
 
 def _cmd_tournament(args) -> int:
-    _, pm, t, w, config = _elect(args)
+    _, pm, t, w, config, seed = _elect(args)
     _emit_json(
         "tournament", config,
         {
@@ -209,20 +198,18 @@ def _cmd_tournament(args) -> int:
             "winner": w,
             "winner_uncovered": uncovered_check(t, w),
         },
-        args.out,
-        seed=args.seed if args.trials is not None else None,
+        args.out, seed=seed,
     )
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    inst, pm, _, w, config = _elect(args)
+    inst, pm, _, w, config, seed = _elect(args)
     _emit_json(
         "pipeline", config,
         {"winner": w, "distortion": distortion_of(inst, w),
          "social_optimum": social_optimum(inst), "method": pm.method},
-        args.out,
-        seed=args.seed if args.trials is not None else None,
+        args.out, seed=seed,
     )
     return 0
 
@@ -299,8 +286,7 @@ def _cmd_sweep_random(args) -> int:
     config = {"k_min": args.k_min, "k_max": args.k_max, "g": args.g,
               "beta": args.beta, "alpha_step": args.alpha_step,
               "omega_tol": args.omega_tol}
-    _write(_csv_text("sweep-random", config, SWEEP_COLUMNS,
-                     _sweep_rows(results)), args.out)
+    _write(_sweep_csv("sweep-random", config, results), args.out)
     return 0
 
 
@@ -319,18 +305,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sample_sim(args) -> int:
-    inst = load_instance(args.instance)
-    model = _load_model(args.model)
+    inst, model, config, seed = _load(args)
     cfg = SampleRunConfig(
         instance=inst, model=model, groups=args.groups, trials=args.trials,
-        seed=args.seed, mode=args.mode, epsilon=args.epsilon,
+        seed=seed, mode=args.mode, epsilon=args.epsilon,
     )
     report = empirical_distortion_trials(cfg)
-    config = {"instance": args.instance, "model": json.loads(model.to_json()),
-              "groups": args.groups, "trials": args.trials,
-              "mode": args.mode, "epsilon": args.epsilon}
+    config.update(groups=args.groups, trials=args.trials, mode=args.mode,
+                  epsilon=args.epsilon)
     _emit_json("sample-sim", config, json.loads(report.to_json()),
-               args.out, seed=args.seed)
+               args.out, seed=seed)
     if args.out is not None:
         root, _ = os.path.splitext(args.out)
         _write(_csv_text("sample-sim", config,
@@ -338,7 +322,7 @@ def _cmd_sample_sim(args) -> int:
                          [(str(t), w, d, e) for t, (w, d, e) in enumerate(
                              zip(report.winners, report.distortions,
                                  report.max_errors))],
-                         seed=args.seed),
+                         seed=seed),
                root + ".csv")
     return 0
 
@@ -371,16 +355,12 @@ def _cmd_reproduce_tables(args) -> int:
            os.path.join(args.out, "table1.csv"))
 
     # random-choice model: linear g at k = 2, 3, 4 and the two sweeps
-    table2 = [zeta(k) for k in (2, 3, 4)]
-    _write(_csv_text("reproduce-tables", config, SWEEP_COLUMNS,
-                     _sweep_rows(table2)),
-           os.path.join(args.out, "table2.csv"))
-    _write(_csv_text("reproduce-tables", config, SWEEP_COLUMNS,
-                     _sweep_rows(sweep(2, 30))),
-           os.path.join(args.out, "fig1.csv"))
-    _write(_csv_text("reproduce-tables", config, SWEEP_COLUMNS,
-                     _sweep_rows(sweep(2, 30, BiasTransform.parse("sqrt")))),
-           os.path.join(args.out, "fig2.csv"))
+    for name, results in (
+            ("table2.csv", [zeta(k) for k in (2, 3, 4)]),
+            ("fig1.csv", sweep(2, 30)),
+            ("fig2.csv", sweep(2, 30, BiasTransform.parse("sqrt")))):
+        _write(_sweep_csv("reproduce-tables", config, results),
+               os.path.join(args.out, name))
     return 0
 
 
@@ -413,10 +393,8 @@ def _split_samples(text: str) -> tuple[int, float, float]:
         raise UsageError(f"--samples expects 'm,epsilon,delta', got {text!r}")
 
 
-def _add_io(p, instance=True, model=True):
-    if instance:
-        p.add_argument("--instance", required=True,
-                       help="instance JSON file")
+def _add_io(p, model=True):
+    p.add_argument("--instance", required=True, help="instance JSON file")
     if model:
         p.add_argument("--model", required=True,
                        help="model config JSON file")
@@ -427,8 +405,21 @@ def _add_mc(p):
     p.add_argument("--trials", type=int, default=None,
                    help="Monte-Carlo trials per pair (default: exact)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="dominance tolerance for the tournament")
+
+
+def _add_solve(p, budget_help: str):
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--budget", type=int, default=None, help=budget_help)
+    p.add_argument("--threads", type=int, default=1)
+
+
+def _add_random(p):
+    p.add_argument("--g", default="linear",
+                   help="bias transform: linear | sqrt | pow:E")
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--alpha-step", type=float, default=1e-3)
+    p.add_argument("--omega-tol", type=float, default=1e-9)
+    p.add_argument("--out", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,63 +448,47 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--pair", default=None, help="candidates 'A,B' "
                    "(default: first two declared)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_mc(p)
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
                    help="exact mode's enumeration budget in member "
                         "slots: C(n+k-1, k) multisets of k members each")
     p.set_defaults(func=_cmd_pk)
 
-    p = sub.add_parser("tournament", help="pairwise matrix, scores, winner")
-    _add_io(p)
-    _add_mc(p)
-    p.set_defaults(func=_cmd_tournament)
-
-    p = sub.add_parser("pipeline", help="winner and its distortion")
-    _add_io(p)
-    _add_mc(p)
-    p.set_defaults(func=_cmd_pipeline)
+    for name, text, func in (
+            ("tournament", "pairwise matrix, scores, winner", _cmd_tournament),
+            ("pipeline", "winner and its distortion", _cmd_pipeline)):
+        p = sub.add_parser(name, help=text)
+        _add_io(p)
+        _add_mc(p)
+        p.add_argument("--tol", type=float, default=None,
+                       help="dominance tolerance for the tournament")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("solve-avg",
                        help="certified max mean bias, averaging rule")
     p.add_argument("--k", type=int, required=True, choices=(2, 3))
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="boxes per theta_3 case (--k 3 only)")
-    p.add_argument("--threads", type=int, default=1)
+    _add_solve(p, "boxes per theta_3 case (--k 3 only)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_avg)
 
     p = sub.add_parser("solve-copeland-k2",
                        help="certify the k=2 Copeland chain cases negative")
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="boxes per sub-solve (B = 1, B = 0, B-slope)")
-    p.add_argument("--threads", type=int, default=1)
+    _add_solve(p, "boxes per sub-solve (B = 1, B = 0, B-slope)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve_copeland_k2)
 
     p = sub.add_parser("solve-random",
                        help="max mean bias, random-choice rule")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--g", default="linear",
-                   help="bias transform: linear | sqrt | pow:E")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha-step", type=float, default=1e-3)
-    p.add_argument("--omega-tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
+    _add_random(p)
     p.set_defaults(func=_cmd_solve_random)
 
     p = sub.add_parser("sweep-random",
                        help="random-choice bounds over a range of k")
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--g", default="linear")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--alpha-step", type=float, default=1e-3)
-    p.add_argument("--omega-tol", type=float, default=1e-9)
-    p.add_argument("--out", default=None)
+    _add_random(p)
     p.set_defaults(func=_cmd_sweep_random)
 
     p = sub.add_parser("bounds", help="closed-form bound report")
@@ -540,10 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-tables",
                        help="write table1/table2/fig1/fig2 CSVs")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None,
-                   help="boxes per k=2 sub-solve and per theta_3 case")
-    p.add_argument("--threads", type=int, default=1)
+    _add_solve(p, "boxes per k=2 sub-solve and per theta_3 case")
     p.set_defaults(func=_cmd_reproduce_tables)
 
     return ap

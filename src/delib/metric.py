@@ -36,7 +36,11 @@ class InvalidInstance(ValueError):
 
 
 class UnknownCandidate(KeyError):
-    pass
+    """Raised for an id the instance does not declare. Prints its message
+    as is, where a KeyError prints the repr of its argument."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
 
 
 class ZeroCandidateDistance(ZeroDivisionError):
@@ -148,11 +152,12 @@ class MetricInstance:
         try:
             return self._index[point]
         except KeyError:
-            raise UnknownCandidate(point) from None
+            raise UnknownCandidate(
+                f"unknown candidate or location {point!r}") from None
 
     def candidate_index(self, c: str) -> int:
         if c not in self.candidates:
-            raise UnknownCandidate(c)
+            raise UnknownCandidate(f"unknown candidate {c!r}")
         return self._index[c]
 
     def distance(self, a: str, b: str) -> float:

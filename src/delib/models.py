@@ -142,15 +142,20 @@ class ModelConfig:
         if not isinstance(doc, dict):
             raise ValueError("a model file holds one JSON object")
 
+        def required(name):
+            if name not in doc:
+                raise ValueError(f"model field {name!r} is missing")
+            return doc[name]
+
         def checked(name, types, default=None):
-            v = doc[name] if default is None else doc.get(name, default)
+            v = required(name) if default is None else doc.get(name, default)
             if not (isinstance(v, types)
                     and isinstance(v, bool) == (types is bool)):
                 raise ValueError(f"model field {name!r} has the wrong type: {v!r}")
             return v
 
         return cls(
-            variant=doc["variant"],
+            variant=required("variant"),
             k=checked("k", int),
             g=BiasTransform.parse(checked("g", str, "linear")),
             beta=float(checked("beta", (int, float), 1.0)),

@@ -124,8 +124,8 @@ def default_tol(pm: PMatrix) -> float:
 def build_tournament(pm: PMatrix, tol: float | None = None) -> Tournament:
     if tol is None:
         tol = default_tol(pm)
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol!r}")
+    if not (0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     beats = (pm.p >= 0.5 - tol) & ~np.eye(pm.m, dtype=bool)
     return Tournament(pm.candidates, beats, tol)
 

@@ -124,8 +124,7 @@ def test_k2_chain_requires_positive_finite_beta(beta):
         build_k2_case_program(1, beta)
     with pytest.raises(ValueError, match="^beta must be positive and finite"):
         build_k2_part_program("B1", beta)
-    with pytest.raises(ValueError,
-                       match="^beta_distortion must be positive and finite"):
+    with pytest.raises(ValueError, match="^beta must be positive and finite"):
         solve_k2_parts(beta)
 
 

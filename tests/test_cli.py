@@ -1,12 +1,14 @@
 """Command-line interface: exit codes, payload shapes, determinism."""
 
+import inspect
 import json
 import math
 
 import pytest
 
 from delib.bounds import copeland_distortion_from_theta
-from delib.cli import main
+from delib.cli import build_parser, main
+from delib.instances import FAMILIES
 from delib.metric import instance_to_json, load_instance
 from delib.models import ModelConfig
 
@@ -43,6 +45,17 @@ def test_gen_instance_meta_survives_load(tmp_path):
 def test_gen_instance_missing_family_params_is_usage_error(capsys):
     assert main(["gen-instance", "--family", "lb1"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_parameter_is_a_gen_instance_flag(family):
+    # gen-instance passes each builder parameter from the flag of its name
+    names = list(inspect.signature(FAMILIES[family]).parameters)
+    argv = ["gen-instance", "--family", family]
+    for name in names:
+        argv += [f"--{name}", "1"]
+    args = build_parser().parse_args(argv)
+    assert all(getattr(args, name) == 1 for name in names)
 
 
 def test_validate_rejects_bad_instance(tmp_path, capsys):
@@ -253,13 +266,13 @@ def test_random_commands_reject_nonfinite_omega_tol(capsys, cmd, tol):
 
 
 @pytest.mark.parametrize("cmd", ["tournament", "pipeline"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-09", "-0.6"])
 def test_tournament_commands_reject_a_nonfinite_tol(line_files, capsys, cmd,
                                                     tol):
     inst, model = line_files
     assert main([cmd, "--instance", inst, "--model", model,
                  f"--tol={tol}"]) == 1
-    _assert_error(capsys, f"tol must be finite, got {tol}")
+    _assert_error(capsys, f"tol must be non-negative and finite, got {tol}")
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf", "-0.1"])
@@ -279,11 +292,28 @@ def test_solve_copeland_k2_rejects_a_nan_tol(capsys):
     _assert_error(capsys, "tol must be non-negative and finite, got nan")
 
 
-@pytest.mark.parametrize("beta", ["inf", "nan"])
+@pytest.mark.parametrize("beta", ["inf", "nan", "0.0"])
 def test_solve_copeland_k2_rejects_a_nonfinite_beta(capsys, beta):
     assert main(["solve-copeland-k2", "--beta", beta, "--budget", "10"]) == 1
-    _assert_error(capsys,
-                  f"beta_distortion must be positive and finite, got {beta}")
+    _assert_error(capsys, f"beta must be positive and finite, got {beta}")
+
+
+def test_pk_names_an_unknown_candidate(line_files, capsys):
+    inst, model = line_files
+    assert main(["pk", "--instance", inst, "--model", model,
+                 "--pair", "A,Z"]) == 1
+    _assert_error(capsys, "unknown candidate 'Z'")
+
+
+@pytest.mark.parametrize("field", ["k", "variant"])
+def test_pk_names_a_missing_model_field(line_files, tmp_path, capsys, field):
+    inst, _ = line_files
+    doc = json.loads(ModelConfig("averaging", 2).to_json())
+    del doc[field]
+    model = tmp_path / "partial.json"
+    model.write_text(json.dumps(doc))
+    assert main(["pk", "--instance", inst, "--model", str(model)]) == 1
+    _assert_error(capsys, f"model field {field!r} is missing")
 
 
 def test_solve_random_audits_groups_past_exact_enumeration(capsys):

@@ -55,6 +55,10 @@ COMMANDS = [
     " --trials 2 --seed 5 --mode MatchingGroups --epsilon 0.1"
     " --out matching.json",
     "reproduce-tables --budget 5000 --out tables",
+    "gen-instance --family theta2-extremal",
+    "gen-instance --family example1 --n 4 --k 2 --delta 0.1",
+    "gen-instance --family lb1",
+    "gen-instance --family example1 --n 4",
 ]
 
 

@@ -129,11 +129,14 @@ def test_build_tournament_beats_and_half_points():
     assert copeland_winner(t) == "a"
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12,
+                                 -0.6])
 def test_build_tournament_requires_a_finite_tol(tol):
-    # with a NaN tol no pair would beat another, and every candidate tie
+    # with a NaN tol no pair would beat another, and every candidate tie; a
+    # negative one drops the shared point of an exact p = 1/2 pair
     p = np.array([[np.nan, 0.7], [0.3, np.nan]])
-    with pytest.raises(ValueError, match="tol must be finite"):
+    with pytest.raises(ValueError,
+                       match="^tol must be non-negative and finite"):
         build_tournament(PMatrix(("a", "b"), p, "Exact"), tol=tol)
 
 

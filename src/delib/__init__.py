@@ -65,8 +65,6 @@ from .averaging import (
     solve_copeland_k2,
     solve_theta2,
     solve_theta3,
-    theta_lower_bound_closed_form,
-    theta_upper_bound_closed_form,
 )
 from .randomchoice import (
     ZetaResult,
@@ -86,6 +84,8 @@ from .bounds import (
     lower_bounds_from_theta,
     sample_size_averaging,
     sample_size_random_choice,
+    theta_lower_bound_closed_form,
+    theta_upper_bound_closed_form,
 )
 from .sampling import (
     SampleRunConfig,
@@ -113,14 +113,14 @@ __all__ = [
     "BoxProgram", "Constraint", "GlobalOptimum", "interval_eval",
     "solve_global",
     "THETA2", "ThetaResult", "solve_copeland_k2", "solve_theta2",
-    "solve_theta3", "theta_lower_bound_closed_form",
-    "theta_upper_bound_closed_form",
+    "solve_theta3",
     "ZetaResult", "constraint_lhs", "group_size_closed_form",
     "group_size_for_epsilon", "incumbent_feasibility", "min_feasible_omega",
     "sweep", "zeta",
     "BoundReport", "ThetaOutOfRange", "bound_report",
     "copeland_distortion_from_theta", "lower_bounds_from_theta",
     "sample_size_averaging", "sample_size_random_choice",
+    "theta_lower_bound_closed_form", "theta_upper_bound_closed_form",
     "SampleRunConfig", "SampleRunReport",
     "empirical_distortion_trials", "round_robin_matchings",
     "simulate_estimated_pmatrix",

@@ -6,8 +6,8 @@ distributions D on [-1, 1] whose k-fold sum is nonpositive with probability
 at least 1/2, the largest possible E[D] is a small non-convex program for
 k = 2 and, after a reduction to three independent two-point distributions,
 a family of eight non-convex programs for k = 3. This module encodes those
-programs for the interval solver and exposes the closed-form bounds for
-general k.
+programs for the interval solver, solves them, and audits their
+witnesses.
 
 Support reductions used by the encodings:
   * k = 2: mass can be pushed to support {-1, 0, 1} without lowering the
@@ -168,6 +168,8 @@ def _k2_objective(case: int, beta: float, B, p, q, r, s, t):
     p..t of the first bias distribution; positive slack anywhere means the
     distortion bound 1 + beta can fail. The second distribution contributes
     its separately-optimized constant A."""
+    if not (0.0 < beta < math.inf):
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     A = (1.0 + 2.0 / beta) * THETA2
     w = 2.0 / beta
     if case == 1:       # 0 <= B <= 1, support B+1 > 1-B > 0 > B-1 > -B-1
@@ -202,8 +204,6 @@ def build_k2_case_program(case: int, beta: float) -> BoxProgram:
     """
     if case not in K2_CASES:
         raise ValueError(f"case must be 1 or 2, got {case}")
-    if not (0.0 < beta < math.inf):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     b_rng = (0.0, 1.0) if case == 1 else (1.0, 100.0)
     B, p, q, r, s, t = (Var(v) for v in "Bpqrst")
     win = (p + q) ** 2 + 2 * p * (r + s) + 2 * q * r
@@ -238,8 +238,6 @@ def build_k2_part_program(part: str, beta: float) -> BoxProgram:
     """
     if part not in K2_PARTS:
         raise ValueError(f"part must be one of {K2_PARTS}, got {part!r}")
-    if not (0.0 < beta < math.inf):
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     p, q, s, t = (Var(v) for v in "pqst")
     r = 1 - p - q - s - t
 
@@ -295,42 +293,34 @@ def solve_k2_parts(
     return {"B1": b1, **rest}
 
 
-def _k2_certificate(case, ends, bound, boxes):
-    """A case certificate on the full program from the part solves in
-    `ends` (B value -> GlobalOptimum): the best incumbent among them, with
-    B and r put back into its point."""
-    tol = ends[1.0].tol
-    b = max((b for b, o in ends.items() if o.point is not None),
-            key=lambda b: ends[b].value, default=None)
-    point = value = None
-    if b is not None:
-        x, value = ends[b].point, ends[b].value
-        point = {"B": b, "p": x["p"], "q": x["q"],
-                 "r": 1.0 - x["p"] - x["q"] - x["s"] - x["t"],
-                 "s": x["s"], "t": x["t"]}
-    gap = math.inf if value is None else bound - value
-    return GlobalOptimum(
-        point=point, value=value, bound=bound, gap=gap, boxes=boxes,
-        status=CERTIFIED if gap <= tol else BUDGET_EXHAUSTED, tol=tol,
-        program=f"copeland-k2-case{case}",
-    )
-
-
 def k2_case_certificates(
     parts: dict[str, GlobalOptimum],
 ) -> tuple[GlobalOptimum, GlobalOptimum]:
-    """Both case certificates from the part certificates of
-    `solve_k2_parts`. Case 1's bound is the larger of its endpoint bounds.
-    Case 2's is B1's bound where the slope's bound is negative, and +inf
-    (not certified) otherwise. Each case counts the boxes of the solves
-    its bound rests on."""
+    """Both case certificates on the full programs, from the part
+    certificates of `solve_k2_parts`. Case 1's bound is the larger of its
+    endpoint bounds, and its incumbent the better of theirs (B = 1 on a
+    tie). Case 2's bound is B1's where the slope's bound is negative, and
+    +inf (not certified) otherwise; its incumbent is B1's. Each case counts
+    the boxes of the solves its bound rests on. B and r are put back into
+    each point."""
     b1, b0, slope = (parts[k] for k in K2_PARTS)
-    case1 = _k2_certificate(1, {1.0: b1, 0.0: b0}, max(b1.bound, b0.bound),
-                            b1.boxes + b0.boxes)
-    case2 = _k2_certificate(2, {1.0: b1},
-                            b1.bound if slope.bound < 0 else math.inf,
-                            b1.boxes + slope.boxes)
-    return case1, case2
+    certs = []
+    for case, ends, bound, boxes in (
+            (1, {1.0: b1, 0.0: b0}, max(b1.bound, b0.bound), b0.boxes),
+            (2, {1.0: b1}, b1.bound if slope.bound < 0 else math.inf,
+             slope.boxes)):
+        b = max(ends, key=lambda b: ends[b].value)
+        x, value = ends[b].point, ends[b].value
+        gap = bound - value
+        certs.append(GlobalOptimum(
+            point={"B": b, "p": x["p"], "q": x["q"],
+                   "r": 1.0 - x["p"] - x["q"] - x["s"] - x["t"],
+                   "s": x["s"], "t": x["t"]},
+            value=value, bound=bound, gap=gap, boxes=b1.boxes + boxes,
+            status=CERTIFIED if gap <= b1.tol else BUDGET_EXHAUSTED,
+            tol=b1.tol, program=f"copeland-k2-case{case}",
+        ))
+    return tuple(certs)
 
 
 def solve_copeland_k2(
@@ -359,77 +349,55 @@ def solve_copeland_k2(
 THETA3_CASES = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
-def _theta3_prob_expr(case: int, p1, p2, p3):
-    """Probability that the gap variables cover the mean sum, per case."""
-    if case == 1:
-        return p1 * p2 * p3
-    if case == 2:
-        return p3 * p2
-    if case == 3:
-        return p3 * p2 + p3 * p1 * (1 - p2)
-    if case == 4:
-        return p3
-    if case == 5:
-        return p3 * p2 + p3 * (1 - p2) * p1 + (1 - p3) * p2 * p1
-    if case == 6:
-        return 1 - (1 - p3) * (1 - p1 * p2)
-    if case == 7:
-        return 1 - (1 - p3) * (1 - p2)
-    return 1 - (1 - p3) * (1 - p2) * (1 - p1)
+def _theta3_case(case: int, p1, p2, p3, c1, c2, c3):
+    """The case's probability that the gap variables cover the mean sum,
+    its cuts, and the lower and upper expressions bracketing the sum of
+    the three means.
 
-
-def _theta3_prob_cuts(case: int, p1, p2, p3):
-    """Linear consequences of the case probability constraint.
-
-    Each case event is a boolean combination of three independent
-    indicators; union bounds (the event forces at least one indicator from
-    every covering pair) and Markov's inequality on the indicator count
-    give linear inequalities the constraint already implies. Adding them
-    leaves the feasible set unchanged but sharpens interval pruning.
+    The cuts are linear consequences of the probability constraint. Each
+    case event is a boolean combination of three independent indicators;
+    union bounds (the event forces at least one indicator from every
+    covering pair) and Markov's inequality on the indicator count give
+    linear inequalities the constraint already implies. Adding them leaves
+    the feasible set unchanged but sharpens interval pruning.
     """
     if case == 1:
-        return [(p1, ">=", 0.5), (p2, ">=", 0.5), (p3, ">=", 0.5)]
-    if case == 2:
-        return [(p2, ">=", 0.5), (p3, ">=", 0.5)]
-    if case == 3:
+        prob = p1 * p2 * p3
+        cuts = [(p1, ">=", 0.5), (p2, ">=", 0.5), (p3, ">=", 0.5)]
+        lo, hi = [c3 + c2], [c3 + c2 + c1]
+    elif case == 2:
+        prob = p3 * p2
+        cuts = [(p2, ">=", 0.5), (p3, ">=", 0.5)]
+        lo, hi = [c3 + c1], [c3 + c2]
+    elif case == 3:
         # event = z3 and (z2 or z1)
-        return [(p3, ">=", 0.5), (p1 + p2, ">=", 0.5)]
-    if case == 5:
+        prob = p3 * p2 + p3 * p1 * (1 - p2)
+        cuts = [(p3, ">=", 0.5), (p1 + p2, ">=", 0.5)]
+        lo, hi = [c3, c2 + c1], [c3 + c1]
+    elif case == 4:
+        prob, cuts = p3, []
+        lo, hi = [c2 + c1], [c3]
+    elif case == 5:
         # event = at least two of three: every pair covers it, and the
         # indicator count is at least 2 on it
-        return [
-            (p1 + p2, ">=", 0.5),
-            (p1 + p3, ">=", 0.5),
-            (p2 + p3, ">=", 0.5),
-            (p1 + p2 + p3, ">=", 1.0),
-        ]
-    if case == 6:
+        prob = p3 * p2 + p3 * (1 - p2) * p1 + (1 - p3) * p2 * p1
+        cuts = [(p1 + p2, ">=", 0.5), (p1 + p3, ">=", 0.5),
+                (p2 + p3, ">=", 0.5), (p1 + p2 + p3, ">=", 1.0)]
+        lo, hi = [c3], [c2 + c1]
+    elif case == 6:
         # event = z3 or (z1 and z2)
-        return [(p3 + p1, ">=", 0.5), (p3 + p2, ">=", 0.5)]
-    if case == 7:
-        return [(p2 + p3, ">=", 0.5)]
-    if case == 8:
-        return [(p1 + p2 + p3, ">=", 0.5)]
-    return []
-
-
-def _theta3_range(case: int, c1, c2, c3):
-    """(lower exprs, upper exprs) bracketing the sum of the three means."""
-    if case == 1:
-        return [c3 + c2], [c3 + c2 + c1]
-    if case == 2:
-        return [c3 + c1], [c3 + c2]
-    if case == 3:
-        return [c3, c2 + c1], [c3 + c1]
-    if case == 4:
-        return [c2 + c1], [c3]
-    if case == 5:
-        return [c3], [c2 + c1]
-    if case == 6:
-        return [c2], [c2 + c1, c3]
-    if case == 7:
-        return [c1], [c2]
-    return [], [c1]
+        prob = 1 - (1 - p3) * (1 - p1 * p2)
+        cuts = [(p3 + p1, ">=", 0.5), (p3 + p2, ">=", 0.5)]
+        lo, hi = [c2], [c2 + c1, c3]
+    elif case == 7:
+        prob = 1 - (1 - p3) * (1 - p2)
+        cuts = [(p2 + p3, ">=", 0.5)]
+        lo, hi = [c1], [c2]
+    else:
+        prob = 1 - (1 - p3) * (1 - p2) * (1 - p1)
+        cuts = [(p1 + p2 + p3, ">=", 0.5)]
+        lo, hi = [], [c1]
+    return prob, cuts, lo, hi
 
 
 def build_theta3_case_program(case: int) -> BoxProgram:
@@ -447,14 +415,11 @@ def build_theta3_case_program(case: int) -> BoxProgram:
     c = [Var("c1"), Var("c2"), Var("c3")]
     p = [Var("p1"), Var("p2"), Var("p3")]
     S = 3 * th + c[0] * p[0] + c[1] * p[1] + c[2] * p[2]
-    lo, hi = _theta3_range(case, *c)
+    prob, cuts, lo, hi = _theta3_case(case, *p, *c)
     cons = [(c[2] - c[1], ">=", 0.0), (c[1] - c[0], ">=", 0.0),
-            (_theta3_prob_expr(case, *p), ">=", 0.5)]
-    cons += _theta3_prob_cuts(case, *p)
-    for e in lo:
-        cons.append((S - e, ">=", 0.0))
-    for e in hi:
-        cons.append((S - e, "<=", 0.0))
+            (prob, ">=", 0.5), *cuts]
+    cons += [(S - e, ">=", 0.0) for e in lo]
+    cons += [(S - e, "<=", 0.0) for e in hi]
     for i in range(3):
         cons.append((th + c[i] * p[i], "<=", 1.0))          # a_i <= 1
         cons.append((c[i] * (1 - p[i]) - th, "<=", 1.0))    # b_i >= -1
@@ -537,24 +502,3 @@ def solve_theta3(
         k=3, value=value, incumbent=incumbent,
         incumbent_value=inc_val, per_case=per_case, audit_pk=audit,
     )
-
-
-# ---------------------------------------------------------------------------
-# closed forms for general k
-
-
-def theta_upper_bound_closed_form(k: int) -> float:
-    """min(1/sqrt(k), (8.27/k)(1 + 2/k)); the second term comes from a
-    Berry-Esseen argument and overtakes the variance bound for large k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return min(1.0 / math.sqrt(k), 8.27 / k * (1.0 + 2.0 / k))
-
-
-def theta_lower_bound_closed_form(k: int) -> float:
-    """Mean bias of the verified lower-bound family: 1/(k+1) for odd k,
-    2/(3k) for even k."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    return 1.0 / (k + 1) if k % 2 else 2.0 / (3.0 * k)
-

@@ -3,7 +3,8 @@
 The deliberation analysis funnels into a single scalar: the largest mean
 bias theta (or zeta, for the random-choice relaxation) achievable under
 the win constraint. These helpers turn that scalar into distortion bounds,
-and size the group samples needed to estimate pairwise win probabilities.
+bracket theta_k for general k in closed form, and size the group samples
+needed to estimate pairwise win probabilities.
 
 Sample sizes bound each of the m(m-1)/2 pairwise estimates with the
 two-sided Hoeffding bound 2 exp(-2 N eps^2) and union-bound over the
@@ -49,6 +50,22 @@ def lower_bounds_from_theta(theta: float) -> tuple[float, float]:
         min(3.0, (1.0 + t) / (1.0 - t)),
         min(2.0, 1.0 / (1.0 - t)),
     )
+
+
+def theta_upper_bound_closed_form(k: int) -> float:
+    """min(1/sqrt(k), (8.27/k)(1 + 2/k)); the second term comes from a
+    Berry-Esseen argument and overtakes the variance bound for large k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return min(1.0 / math.sqrt(k), 8.27 / k * (1.0 + 2.0 / k))
+
+
+def theta_lower_bound_closed_form(k: int) -> float:
+    """Mean bias of the verified lower-bound family: 1/(k+1) for odd k,
+    2/(3k) for even k."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    return 1.0 / (k + 1) if k % 2 else 2.0 / (3.0 * k)
 
 
 def _check_sampling_args(m: int, epsilon: float, delta: float) -> None:
@@ -97,7 +114,6 @@ class BoundReport:
 
     theta: float | None = None
     zeta: float | None = None
-    k: int | None = None
     m: int | None = None
     epsilon: float | None = None
     delta: float | None = None
@@ -124,7 +140,6 @@ class BoundReport:
 def bound_report(
     theta: float | None = None,
     zeta: float | None = None,
-    k: int | None = None,
     m: int | None = None,
     epsilon: float | None = None,
     delta: float | None = None,
@@ -136,7 +151,7 @@ def bound_report(
     """
     if theta is not None and zeta is not None:
         raise ValueError("pass theta or zeta, not both")
-    rep = BoundReport(theta=theta, zeta=zeta, k=k, m=m, epsilon=epsilon, delta=delta)
+    rep = BoundReport(theta=theta, zeta=zeta, m=m, epsilon=epsilon, delta=delta)
     x = theta if theta is not None else zeta
     if x is not None:
         rep.copeland_upper = copeland_distortion_from_theta(x)

@@ -28,13 +28,13 @@ from .averaging import (
     solve_k2_parts,
     solve_theta2,
     solve_theta3,
-    theta_lower_bound_closed_form,
-    theta_upper_bound_closed_form,
 )
 from .bounds import (
     bound_report,
     copeland_distortion_from_theta,
     lower_bounds_from_theta,
+    theta_lower_bound_closed_form,
+    theta_upper_bound_closed_form,
 )
 from .instances import FAMILIES, BudgetExceeded
 from .metric import (
@@ -161,6 +161,13 @@ def _cmd_gen_instance(args) -> int:
         *rest, last = (f"--{name}" for name in params)
         need = f"{', '.join(rest)} and {last} are" if rest else f"{last} is"
         raise UsageError(f"{need} required for family {args.family}")
+    # every family's parameters are flags; a family takes only its own
+    flags = {name for b in FAMILIES.values()
+             for name in inspect.signature(b).parameters}
+    unused = [f"--{name}" for name, v in vars(args).items()
+              if name in flags and name not in params and v is not None]
+    _require(not unused,
+             f"family {args.family} takes no {', '.join(unused)}")
     doc = json.loads(instance_to_json(build(**params)))
     doc["meta"] = _meta("gen-instance", {"family": args.family, **params},
                         None)
@@ -296,9 +303,9 @@ def _cmd_bounds(args) -> int:
         m, epsilon, delta = _split_samples(args.samples)
     if args.theta is None and args.zeta is None and args.samples is None:
         raise UsageError("one of --theta, --zeta, --samples is required")
-    report = bound_report(theta=args.theta, zeta=args.zeta, k=args.k,
+    report = bound_report(theta=args.theta, zeta=args.zeta,
                           m=m, epsilon=epsilon, delta=delta)
-    config = {"theta": args.theta, "zeta": args.zeta, "k": args.k,
+    config = {"theta": args.theta, "zeta": args.zeta,
               "samples": args.samples}
     _emit_json("bounds", config, json.loads(report.to_json()), args.out)
     return 0
@@ -495,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--theta", type=float, default=None)
     g.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--samples", default=None,
                    help="sample-size query 'm,epsilon,delta'")
     p.add_argument("--out", default=None)

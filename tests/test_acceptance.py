@@ -19,10 +19,12 @@ from delib.averaging import (
     K2_BETA_THRESHOLD,
     THETA2,
     solve_copeland_k2,
+)
+from delib.bounds import (
+    sample_size_averaging,
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
 )
-from delib.bounds import sample_size_averaging
 from delib.boxopt import BUDGET_EXHAUSTED, CERTIFIED
 from delib.instances import (
     copeland_k2_worst_case,

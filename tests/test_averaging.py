@@ -22,10 +22,12 @@ from delib.averaging import (
     solve_copeland_k2,
     solve_k2_parts,
     solve_theta2,
-    theta_lower_bound_closed_form,
-    theta_upper_bound_closed_form,
     _k2_seeds,
     _theta3_seeds,
+)
+from delib.bounds import (
+    theta_lower_bound_closed_form,
+    theta_upper_bound_closed_form,
 )
 from delib.boxopt import (
     _ADD,
@@ -33,6 +35,7 @@ from delib.boxopt import (
     _MUL,
     _NEG,
     _VAR,
+    BUDGET_EXHAUSTED,
     CERTIFIED,
     GlobalOptimum,
     solve_global,
@@ -146,6 +149,57 @@ def test_k2_case2_is_not_certified_where_the_slope_is_not_negative():
     _, case2 = k2_case_certificates(parts)
     assert case2.bound == math.inf
     assert case2.status != CERTIFIED
+
+
+def _part(part, x, value, bound, boxes):
+    """A synthetic part certificate at point x = (p, q, s, t)."""
+    return GlobalOptimum(point=dict(zip("pqst", x)), value=value, bound=bound,
+                         gap=bound - value, boxes=boxes, status=CERTIFIED,
+                         tol=1e-4, program=f"copeland-k2-{part}")
+
+
+def _full_point(B, x):
+    p, q, s, t = x
+    return {"B": B, "p": p, "q": q, "r": 1.0 - p - q - s - t, "s": s, "t": t}
+
+
+def test_k2_case_certificates_compose_the_part_certificates():
+    # no solve: synthetic parts pin how the cases are assembled
+    x1, x0, xs = (0.1, 0.2, 0.05, 0.05), (0.3, 0.1, 0.2, 0.1), (0.4, 0, 0, 0)
+    # the B = 0 incumbent beats B = 1's, so case 1 takes it, with B = 0
+    parts = {"B1": _part("B1", x1, -0.5, -0.3, 10),
+             "B0": _part("B0", x0, -0.2, -0.1, 20),
+             "slope": _part("slope", xs, -1.0, -0.5, 30)}
+    case1, case2 = k2_case_certificates(parts)
+    assert (case1.point, case1.value, case1.bound, case1.boxes) == (
+        _full_point(0.0, x0), -0.2, -0.1, 30)
+    assert list(case1.point) == list("Bpqrst")
+    assert case1.gap == -0.1 - -0.2
+    assert (case1.status, case1.tol, case1.target_met, case1.program) == (
+        BUDGET_EXHAUSTED, 1e-4, False, "copeland-k2-case1")
+    # case 2 rests on B = 1 and the negative slope, never on B = 0
+    assert (case2.point, case2.value, case2.bound, case2.boxes) == (
+        _full_point(1.0, x1), -0.5, -0.3, 40)
+    assert case2.gap == -0.3 - -0.5
+    assert (case2.status, case2.program) == (BUDGET_EXHAUSTED,
+                                             "copeland-k2-case2")
+
+    # a value tie keeps the B = 1 incumbent; gaps within tol certify
+    parts["B1"] = _part("B1", x1, -0.2, -0.19995, 10)
+    parts["B0"] = _part("B0", x0, -0.2, -0.2, 20)
+    case1, case2 = k2_case_certificates(parts)
+    assert (case1.point, case1.value, case1.bound) == (
+        _full_point(1.0, x1), -0.2, -0.19995)
+    assert case1.gap == -0.19995 - -0.2
+    assert (case1.status, case2.status) == (CERTIFIED, CERTIFIED)
+
+    # a slope bound >= 0 leaves case 2 unbounded, with B = 1's incumbent
+    parts["slope"] = _part("slope", xs, -1.0, 0.0, 30)
+    case1, case2 = k2_case_certificates(parts)
+    assert case1.status == CERTIFIED
+    assert (case2.point, case2.value, case2.bound, case2.gap) == (
+        _full_point(1.0, x1), -0.2, math.inf, math.inf)
+    assert (case2.boxes, case2.status) == (40, BUDGET_EXHAUSTED)
 
 
 def test_k2_fixed_b_program_certifies_with_a_linear_objective():

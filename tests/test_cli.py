@@ -47,6 +47,21 @@ def test_gen_instance_missing_family_params_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, unused", [
+    ("--family lb1 --k 3 --delta 0.5", "--delta"),
+    ("--family theta2-extremal --k 4 --n 2", "--k, --n"),
+])
+def test_gen_instance_rejects_a_flag_its_family_does_not_take(
+        tmp_path, capsys, argv, unused):
+    # the flag used to vanish: exit 0, and no trace of it in meta.config
+    out = tmp_path / "inst.json"
+    assert main(["gen-instance", *argv.split(), "--out", str(out)]) == 2
+    family = argv.split()[1]
+    assert capsys.readouterr().err == (
+        f"usage error: family {family} takes no {unused}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_parameter_is_a_gen_instance_flag(family):
     # gen-instance passes each builder parameter from the flag of its name
@@ -171,6 +186,14 @@ def test_pipeline_payload(line_files, capsys):
 
 def test_bounds_requires_some_input():
     assert main(["bounds"]) == 2
+
+
+def test_bounds_has_no_k_flag(capsys):
+    # no bound formula reads k: the flag was only echoed into the config
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--theta", "0.25", "--k", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
 
 def test_bounds_rejects_theta_out_of_range(capsys):

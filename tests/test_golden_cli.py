@@ -59,6 +59,7 @@ COMMANDS = [
     "gen-instance --family example1 --n 4 --k 2 --delta 0.1",
     "gen-instance --family lb1",
     "gen-instance --family example1 --n 4",
+    "gen-instance --family lb1 --k 3 --delta 0.5",
 ]
 
 

@@ -69,7 +69,6 @@ from .averaging import (
 from .randomchoice import (
     ZetaResult,
     constraint_lhs,
-    group_size_closed_form,
     group_size_for_epsilon,
     incumbent_feasibility,
     min_feasible_omega,
@@ -77,10 +76,9 @@ from .randomchoice import (
     zeta,
 )
 from .bounds import (
-    BoundReport,
     ThetaOutOfRange,
-    bound_report,
     copeland_distortion_from_theta,
+    group_size_closed_form,
     lower_bounds_from_theta,
     sample_size_averaging,
     sample_size_random_choice,
@@ -114,11 +112,10 @@ __all__ = [
     "solve_global",
     "THETA2", "ThetaResult", "solve_copeland_k2", "solve_theta2",
     "solve_theta3",
-    "ZetaResult", "constraint_lhs", "group_size_closed_form",
-    "group_size_for_epsilon", "incumbent_feasibility", "min_feasible_omega",
-    "sweep", "zeta",
-    "BoundReport", "ThetaOutOfRange", "bound_report",
-    "copeland_distortion_from_theta", "lower_bounds_from_theta",
+    "ZetaResult", "constraint_lhs", "group_size_for_epsilon",
+    "incumbent_feasibility", "min_feasible_omega", "sweep", "zeta",
+    "ThetaOutOfRange", "copeland_distortion_from_theta",
+    "group_size_closed_form", "lower_bounds_from_theta",
     "sample_size_averaging", "sample_size_random_choice",
     "theta_lower_bound_closed_form", "theta_upper_bound_closed_form",
     "SampleRunConfig", "SampleRunReport",

@@ -161,6 +161,11 @@ def solve_theta2(tol: float = 1e-6) -> ThetaResult:
 # k = 2 Copeland chain programs
 
 K2_CASES = (1, 2)
+# The objectives' coefficients grow as 2 / beta, and case 2's box multiplies
+# them by B + 1 <= 101 before enclosures sum several of them; 2 / beta
+# overflows to inf below about 1.1e-308, and 2e-308 already overflows the
+# B = 1 terms. At this floor (2 / beta)(B + 1) stays below about 2e302.
+_K2_MIN_BETA = 1e-300
 
 
 def _k2_objective(case: int, beta: float, B, p, q, r, s, t):
@@ -170,6 +175,9 @@ def _k2_objective(case: int, beta: float, B, p, q, r, s, t):
     its separately-optimized constant A."""
     if not (0.0 < beta < math.inf):
         raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    if beta < _K2_MIN_BETA:
+        raise ValueError(f"beta must be at least {_K2_MIN_BETA!r}, "
+                         f"got {beta!r}")
     A = (1.0 + 2.0 / beta) * THETA2
     w = 2.0 / beta
     if case == 1:       # 0 <= B <= 1, support B+1 > 1-B > 0 > B-1 > -B-1

@@ -3,8 +3,9 @@
 The deliberation analysis funnels into a single scalar: the largest mean
 bias theta (or zeta, for the random-choice relaxation) achievable under
 the win constraint. These helpers turn that scalar into distortion bounds,
-bracket theta_k for general k in closed form, and size the group samples
-needed to estimate pairwise win probabilities.
+bracket theta_k for general k in closed form, give a closed-form
+random-choice group size, and size the group samples needed to estimate
+pairwise win probabilities.
 
 Sample sizes bound each of the m(m-1)/2 pairwise estimates with the
 two-sided Hoeffding bound 2 exp(-2 N eps^2) and union-bound over the
@@ -15,11 +16,10 @@ both sampling modes observe each pair N times.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 HOEFFDING_RATE = 2.0   # exponent factor in P(|error| > eps) <= 2 exp(-rate N eps^2)
+C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
 
 
 class ThetaOutOfRange(ValueError):
@@ -68,6 +68,20 @@ def theta_lower_bound_closed_form(k: int) -> float:
     return 1.0 / (k + 1) if k % 2 else 2.0 / (3.0 * k)
 
 
+def group_size_closed_form(epsilon: float) -> int:
+    """Chernoff-style group size 4/delta^2 * log(2/delta), with
+    epsilon = C_EPSILON_PER_DELTA * delta.
+
+    Asymptotic companion to randomchoice.group_size_for_epsilon; clamped
+    below at 1 (large epsilon makes the formula vacuous).
+    """
+    if not (0.0 < epsilon < math.inf):
+        raise ValueError(
+            f"epsilon must be positive and finite, got {epsilon!r}")
+    delta = epsilon / C_EPSILON_PER_DELTA
+    return math.ceil(max(1.0, 4.0 / delta**2 * math.log(2.0 / delta)))
+
+
 def _check_sampling_args(m: int, epsilon: float, delta: float) -> None:
     if m < 2:
         raise ValueError(f"need at least 2 alternatives, got {m}")
@@ -106,64 +120,3 @@ def sample_size_random_choice(
     per_matching = sample_size_averaging(m, epsilon, delta)
     matchings = m - 1 if m % 2 == 0 else m
     return per_matching, matchings, per_matching * matchings
-
-
-@dataclass
-class BoundReport:
-    """Everything the closed forms say about one parameter setting."""
-
-    theta: float | None = None
-    zeta: float | None = None
-    m: int | None = None
-    epsilon: float | None = None
-    delta: float | None = None
-    copeland_upper: float | None = None
-    det_lb: float | None = None
-    rand_lb: float | None = None
-    samples_averaging: int | None = None
-    samples_per_matching: int | None = None
-    matchings: int | None = None
-    samples_random_choice: int | None = None
-
-    def __post_init__(self):
-        if self.copeland_upper is not None and self.det_lb is not None:
-            if self.copeland_upper < self.det_lb:
-                raise ValueError("upper bound below deterministic lower bound")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {k: v for k, v in self.__dict__.items() if v is not None},
-            indent=2,
-        )
-
-
-def bound_report(
-    theta: float | None = None,
-    zeta: float | None = None,
-    m: int | None = None,
-    epsilon: float | None = None,
-    delta: float | None = None,
-) -> BoundReport:
-    """Fill a BoundReport from whichever inputs are given.
-
-    theta and zeta feed the same formulas; passing both is ambiguous and
-    rejected. Sample sizes require m, epsilon, and delta together.
-    """
-    if theta is not None and zeta is not None:
-        raise ValueError("pass theta or zeta, not both")
-    rep = BoundReport(theta=theta, zeta=zeta, m=m, epsilon=epsilon, delta=delta)
-    x = theta if theta is not None else zeta
-    if x is not None:
-        rep.copeland_upper = copeland_distortion_from_theta(x)
-        rep.det_lb, rep.rand_lb = lower_bounds_from_theta(x)
-    if m is not None:
-        if epsilon is None or delta is None:
-            raise ValueError("sample sizes need m, epsilon, and delta")
-        rep.samples_averaging = sample_size_averaging(m, epsilon, delta)
-        per, match, total = sample_size_random_choice(m, epsilon, delta)
-        rep.samples_per_matching = per
-        rep.matchings = match
-        rep.samples_random_choice = total
-    if x is None and m is None:
-        raise ValueError("nothing to compute: pass theta/zeta or m,epsilon,delta")
-    return rep

@@ -529,6 +529,8 @@ def solve_global(
         raise ValueError(f"unknown branching rule: {branching!r}")
     if not (0.0 <= tol < math.inf):
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
+    if max_boxes < 0:
+        raise ValueError(f"max_boxes must be non-negative, got {max_boxes!r}")
     tape = prog._tape
     inc_val = -math.inf
     inc_x: np.ndarray | None = None

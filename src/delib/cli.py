@@ -30,9 +30,10 @@ from .averaging import (
     solve_theta3,
 )
 from .bounds import (
-    bound_report,
     copeland_distortion_from_theta,
     lower_bounds_from_theta,
+    sample_size_averaging,
+    sample_size_random_choice,
     theta_lower_bound_closed_form,
     theta_upper_bound_closed_form,
 )
@@ -298,16 +299,24 @@ def _cmd_sweep_random(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    m = epsilon = delta = None
-    if args.samples is not None:
-        m, epsilon, delta = _split_samples(args.samples)
-    if args.theta is None and args.zeta is None and args.samples is None:
-        raise UsageError("one of --theta, --zeta, --samples is required")
-    report = bound_report(theta=args.theta, zeta=args.zeta,
-                          m=m, epsilon=epsilon, delta=delta)
+    samples = None if args.samples is None else _split_samples(args.samples)
+    x = args.theta if args.theta is not None else args.zeta
+    _require(x is not None or samples is not None,
+             "one of --theta, --zeta, --samples is required")
     config = {"theta": args.theta, "zeta": args.zeta,
               "samples": args.samples}
-    _emit_json("bounds", config, json.loads(report.to_json()), args.out)
+    payload = _given(theta=args.theta, zeta=args.zeta)
+    payload.update(zip(("m", "epsilon", "delta"), samples or ()))
+    # a bad theta raises before any sample size is computed
+    if x is not None:
+        payload["copeland_upper"] = copeland_distortion_from_theta(x)
+        payload["det_lb"], payload["rand_lb"] = lower_bounds_from_theta(x)
+    if samples is not None:
+        payload["samples_averaging"] = sample_size_averaging(*samples)
+        payload.update(zip(
+            ("samples_per_matching", "matchings", "samples_random_choice"),
+            sample_size_random_choice(*samples)))
+    _emit_json("bounds", config, payload, args.out)
     return 0
 
 

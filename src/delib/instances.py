@@ -133,12 +133,13 @@ def example1_instance(n: int, k: int, delta: float) -> MetricInstance:
     the rest at 3. Distances between candidates route through the center
     (2 - delta) or a shared voter (2). Any deterministic rule that elects
     some c_S pays a cost ratio approaching 3 for large n; c itself is the
-    social optimum.
+    social optimum. delta is at most 1, or d(c_S, c_T) = 2 would exceed
+    the route through c, 2(2 - delta).
     """
     if not (n >= k >= 2):
         raise ValueError("need n >= k >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must be in (0, 1]")
     n_cands = math.comb(n, k) + 1
     if n_cands > DEFAULT_CANDIDATE_BUDGET:
         raise BudgetExceeded(

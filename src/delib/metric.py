@@ -199,7 +199,7 @@ def validate(inst: MetricInstance) -> list[str]:
         out.append("negative distance")
     if np.diagonal(D).any():
         out.append("nonzero self-distance")
-    if not (D == D.T).all():
+    if not np.array_equal(D, D.T, equal_nan=True):
         out.append("asymmetric distance table")
     if not np.isfinite(D).all():
         # the triangle scan would subtract inf from inf

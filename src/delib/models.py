@@ -87,7 +87,11 @@ class BiasTransform:
         if text == "sqrt":
             return cls("sqrt")
         if text.startswith("pow:"):
-            return cls("pow", float(text[4:]))
+            try:
+                exponent = float(text[4:])
+            except ValueError:
+                raise ValueError(f"cannot parse transform {text!r}") from None
+            return cls("pow", exponent)
         raise ValueError(f"cannot parse transform {text!r}")
 
 

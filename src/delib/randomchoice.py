@@ -32,9 +32,8 @@ row, so both solves give the same omega bit for bit; a hint changes the
 number of passes only.
 
 The inversion group_size_for_epsilon finds the smallest group size whose
-distortion_upper from zeta() beats 1 + epsilon. group_size_closed_form
-gives the Chernoff-style closed form 4/delta^2 * log(2/delta) with
-epsilon = C_EPSILON_PER_DELTA * delta; no command-line tool reports it.
+distortion_upper from zeta() beats 1 + epsilon; bounds.group_size_closed_form
+is its closed-form companion.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from .models import (
 )
 
 INFEASIBLE = math.inf      # sentinel: no omega in [0,1] satisfies the constraint
-C_EPSILON_PER_DELTA = 1.0  # epsilon = c * delta in the closed-form group size
 GROUP_SIZE_CAP = 4096      # largest k the doubling search will try
 _BLOCK_LEVELS = 5             # bisection levels decided per pass of a scalar solve
 _AUDIT_BLOCK_SLOTS = 1 << 20  # member slots per block of a two-atom audit
@@ -433,20 +431,6 @@ def group_size_for_epsilon(epsilon: float) -> int:
         else:
             lo = mid
     return hi
-
-
-def group_size_closed_form(epsilon: float) -> int:
-    """Chernoff-style group size 4/delta^2 * log(2/delta), with
-    epsilon = C_EPSILON_PER_DELTA * delta.
-
-    Asymptotic companion to group_size_for_epsilon; clamped below at 1
-    (large epsilon makes the formula vacuous).
-    """
-    if not (0.0 < epsilon < math.inf):
-        raise ValueError(
-            f"epsilon must be positive and finite, got {epsilon!r}")
-    delta = epsilon / C_EPSILON_PER_DELTA
-    return math.ceil(max(1.0, 4.0 / delta**2 * math.log(2.0 / delta)))
 
 
 def _two_atom_pk(inst, model: ModelConfig) -> float:

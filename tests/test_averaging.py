@@ -131,6 +131,19 @@ def test_k2_chain_requires_positive_finite_beta(beta):
         solve_k2_parts(beta)
 
 
+@pytest.mark.parametrize("beta", [1e-310, 2e-308, 1e-301])
+def test_k2_chain_rejects_a_beta_whose_coefficients_overflow(beta):
+    # 2 / beta times B + 1 overflows the enclosures; the message names beta,
+    # not the variable bounds
+    with pytest.raises(ValueError, match="^beta must be at least 1e-300"):
+        build_k2_case_program(2, beta)
+    with pytest.raises(ValueError, match="^beta must be at least 1e-300"):
+        build_k2_part_program("slope", beta)
+    with pytest.raises(ValueError, match="^beta must be at least 1e-300"):
+        solve_k2_parts(beta)
+    build_k2_part_program("slope", 1e-300)
+
+
 def test_k2_slope_is_certified_negative_above_threshold():
     # the slope bound carries case 2 from B = 1 to every B >= 1
     parts = solve_k2_parts(3.4152)

@@ -1,16 +1,14 @@
 """Closed-form bound formulas and sample-size calculators."""
 
-import json
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delib.averaging import THETA2
 from delib.bounds import (
-    BoundReport,
     HOEFFDING_RATE,
     ThetaOutOfRange,
-    bound_report,
     copeland_distortion_from_theta,
     lower_bounds_from_theta,
     sample_size_averaging,
@@ -39,6 +37,13 @@ def test_lower_bounds_values():
 def test_lower_bounds_caps():
     # (1+t)/(1-t) = 19 and 1/(1-t) = 10 at t = 0.9, both past their caps
     assert lower_bounds_from_theta(0.9) == (3.0, 2.0)
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_bounds_from_theta_are_ordered(theta):
+    # the Copeland upper bound never falls below the floors it brackets
+    det, rand = lower_bounds_from_theta(theta)
+    assert copeland_distortion_from_theta(theta) >= det >= rand >= 1.0
 
 
 def test_theta_range_is_enforced():
@@ -102,37 +107,3 @@ def test_sampling_argument_validation():
             sample_size_averaging(3, eps, delta)
         with pytest.raises(ValueError):
             sample_size_random_choice(3, eps, delta)
-
-
-def test_bound_report_rejects_ambiguous_inputs():
-    with pytest.raises(ValueError):
-        bound_report(theta=0.2, zeta=0.3)
-    with pytest.raises(ValueError):
-        bound_report(m=5)          # sample sizes need epsilon and delta too
-    with pytest.raises(ValueError):
-        bound_report()
-
-
-def test_bound_report_from_theta():
-    rep = bound_report(theta=0.25)
-    assert rep.copeland_upper == pytest.approx(25.0 / 9.0, abs=1e-12)
-    assert rep.det_lb == pytest.approx(5.0 / 3.0, abs=1e-12)
-    assert rep.rand_lb == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert rep.copeland_upper >= rep.det_lb
-    assert rep.samples_averaging is None
-    payload = json.loads(rep.to_json())
-    assert "samples_averaging" not in payload   # Nones are dropped
-    assert payload["theta"] == 0.25
-
-
-def test_bound_report_with_sampling_block():
-    rep = bound_report(zeta=0.3, m=5, epsilon=0.1, delta=0.1)
-    assert rep.copeland_upper == pytest.approx((1.3 / 0.7) ** 2, abs=1e-12)
-    assert rep.samples_averaging == sample_size_averaging(5, 0.1, 0.1)
-    assert (rep.samples_per_matching, rep.matchings,
-            rep.samples_random_choice) == (265, 5, 1325)
-
-
-def test_bound_report_consistency_guard():
-    with pytest.raises(ValueError):
-        BoundReport(copeland_upper=1.1, det_lb=1.5)

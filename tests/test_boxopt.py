@@ -80,6 +80,18 @@ def test_tolerance_must_be_non_negative_and_finite(tol):
         solve_global(_corner_program("<="), tol=tol, max_boxes=10)
 
 
+@pytest.mark.parametrize("max_boxes", [-1, -5])
+def test_box_budget_must_be_non_negative(max_boxes):
+    message = f"^max_boxes must be non-negative, got {max_boxes}"
+    with pytest.raises(ValueError, match=message):
+        solve_global(_corner_program("<="), max_boxes=max_boxes)
+
+
+def test_zero_box_budget_encloses_the_root_only():
+    res = solve_global(_corner_program("<="), tol=1e-6, max_boxes=0)
+    assert res.status == BUDGET_EXHAUSTED and res.boxes == 1
+
+
 def test_zero_tolerance_is_allowed():
     res = solve_global(_corner_program("<="), tol=0.0, max_boxes=10)
     assert res.tol == 0.0 and res.status == BUDGET_EXHAUSTED

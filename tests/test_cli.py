@@ -88,6 +88,22 @@ def test_validate_rejects_bad_instance(tmp_path, capsys):
     assert payload["violations"]
 
 
+def test_validate_reports_a_nan_distance_as_non_finite_only(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"candidates": ["A", "B"], "locations": [{"id": "u", "mass": 1}], '
+        '"distances": {"A|B": NaN, "A|u": 1, "B|u": 1}}')
+    assert main(["validate", "--instance", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == ["non-finite distance"]
+
+
+def test_gen_instance_rejects_an_example1_delta_past_one(capsys):
+    assert main(["gen-instance", "--family", "example1", "--n", "3",
+                 "--k", "2", "--delta", "1.5"]) == 1
+    _assert_error(capsys, "delta must be in (0, 1]")
+
+
 @pytest.mark.parametrize("masses", [("1e308", "1e308"),
                                     ("Infinity", "-Infinity")])
 def test_validate_reports_unsummable_masses(tmp_path, capsys, masses):
@@ -188,6 +204,13 @@ def test_bounds_requires_some_input():
     assert main(["bounds"]) == 2
 
 
+def test_bounds_rejects_theta_with_zeta(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--theta", "0.2", "--zeta", "0.3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_bounds_has_no_k_flag(capsys):
     # no bound formula reads k: the flag was only echoed into the config
     with pytest.raises(SystemExit) as exc:
@@ -250,6 +273,20 @@ def test_solve_avg_k2_rejects_a_box_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage error: --budget applies to --k 3 only\n"
+
+
+@pytest.mark.parametrize("cmd", [["solve-avg", "--k", "3", "--budget", "-5"],
+                                 ["solve-copeland-k2", "--beta", "3.4152",
+                                  "--budget", "-1"]])
+def test_solve_commands_reject_a_negative_budget(capsys, cmd):
+    # a negative box budget reported a vacuous or partial bound with exit 0
+    assert main(cmd) == 1
+    _assert_error(capsys, f"max_boxes must be non-negative, got {cmd[-1]}")
+
+
+def test_solve_random_names_an_unparseable_transform(capsys):
+    assert main(["solve-random", "--k", "4", "--g", "pow:abc"]) == 1
+    _assert_error(capsys, "cannot parse transform 'pow:abc'")
 
 
 def test_solve_avg_reports_a_vacuous_theta3_bound(capsys):
@@ -319,6 +356,15 @@ def test_solve_copeland_k2_rejects_a_nan_tol(capsys):
 def test_solve_copeland_k2_rejects_a_nonfinite_beta(capsys, beta):
     assert main(["solve-copeland-k2", "--beta", beta, "--budget", "10"]) == 1
     _assert_error(capsys, f"beta must be positive and finite, got {beta}")
+
+
+@pytest.mark.parametrize("beta", ["1e-310", "2e-308"])
+def test_solve_copeland_k2_names_a_beta_too_small(capsys, beta):
+    # 2 / beta overflowed in the enclosures, which blamed the variable bounds
+    assert main(["solve-copeland-k2", "--beta", beta, "--budget", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: beta")
+    assert "RuntimeWarning" not in captured.err
 
 
 def test_pk_names_an_unknown_candidate(line_files, capsys):

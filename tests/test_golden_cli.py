@@ -60,6 +60,10 @@ COMMANDS = [
     "gen-instance --family lb1",
     "gen-instance --family example1 --n 4",
     "gen-instance --family lb1 --k 3 --delta 0.5",
+    "bounds --theta 0.25",
+    "bounds --zeta 0.3 --samples 5,0.1,0.1",
+    "bounds --samples 5,0.1,0.1",
+    "bounds --samples 5",
 ]
 
 

@@ -119,6 +119,14 @@ def test_example1_structure():
     assert w6 < w12 < w20 < 3.0
 
 
+@pytest.mark.parametrize("delta", [0.0, 1.01, math.inf, math.nan])
+def test_example1_delta_range(delta):
+    # past 1, d(c_S, c_T) = 2 exceeds the route through c, 2(2 - delta)
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\]"):
+        example1_instance(4, 2, delta)
+    assert validate(example1_instance(4, 2, 1.0)) == []
+
+
 def test_example1_budget(monkeypatch):
     with pytest.raises(BudgetExceeded):
         example1_instance(30, 8, 0.01)

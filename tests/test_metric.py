@@ -74,6 +74,11 @@ def test_build_rejects_duplicates_and_bad_mass():
             ["A", "B"], [("v", 1.0)],
             {("A", "B"): math.inf, ("A", "v"): math.inf, ("B", "v"): math.inf},
         )
+    # NaN != NaN, but a NaN distance is non-finite, not asymmetric
+    nan_pair = {("A", "B"): math.nan, ("A", "v"): 1.0, ("B", "v"): 1.0}
+    with pytest.raises(InvalidInstance) as exc:
+        MetricInstance.build(["A", "B"], [("v", 1.0)], nan_pair)
+    assert exc.value.violations == ["non-finite distance"]
     # math.fsum raises on overflow and on infinities of both signs
     two = {("A", "B"): 1.0, ("A", "u"): 1.0, ("B", "u"): 1.0,
            ("A", "v"): 1.0, ("B", "v"): 1.0, ("u", "v"): 1.0}

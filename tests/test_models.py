@@ -54,6 +54,13 @@ def test_transform_rejects_bad_exponent():
         BiasTransform.parse("cube")
 
 
+@pytest.mark.parametrize("text", ["pow:abc", "pow:", "cube"])
+def test_transform_parse_names_an_unparseable_spec(text):
+    with pytest.raises(ValueError,
+                       match=f"^cannot parse transform '{text}'$"):
+        BiasTransform.parse(text)
+
+
 # -- group decision kernel ---------------------------------------------------
 
 

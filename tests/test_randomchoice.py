@@ -8,13 +8,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import delib.randomchoice as rc
+from delib.bounds import group_size_closed_form
 from delib.instances import line_instance_from_bias_distribution
 from delib.metric import BiasDistribution
 from delib.models import LINEAR, SQRT, BiasTransform, ModelConfig, exact_pk
 from delib.randomchoice import (
     ZetaResult,
     constraint_lhs,
-    group_size_closed_form,
     group_size_for_epsilon,
     incumbent_feasibility,
     min_feasible_omega,

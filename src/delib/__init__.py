@@ -31,6 +31,7 @@ from .models import (
     PkResult,
     exact_pk,
     exact_pk_pair,
+    exact_pk_pairs,
     monte_carlo_pk,
 )
 from .tournament import (
@@ -101,7 +102,7 @@ __all__ = [
     "instance_to_json", "load_instance", "normalized_bias",
     "social_cost", "social_optimum", "validate",
     "LINEAR", "SQRT", "BiasTransform", "ModelConfig", "PkResult",
-    "exact_pk", "exact_pk_pair", "monte_carlo_pk",
+    "exact_pk", "exact_pk_pair", "exact_pk_pairs", "monte_carlo_pk",
     "MonteCarlo", "PMatrix", "Tournament", "build_pmatrix",
     "build_tournament", "copeland_scores", "copeland_winner",
     "pipeline_distortion", "uncovered_check",

@@ -344,7 +344,6 @@ def _cmd_sample_sim(args) -> int:
 
 
 def _cmd_reproduce_tables(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     config = {"tol": args.tol, "budget": args.budget}
 
     # averaging model: certified theta bounds and Copeland distortion
@@ -365,6 +364,9 @@ def _cmd_reproduce_tables(args) -> int:
           else copeland_distortion_from_theta(t3.value)),
          lower_bounds_from_theta(theta_lower_bound_closed_form(3))[0]),
     ]
+    # only now: the solves above reject a bad --tol or --budget, and a
+    # usage fault leaves no directory behind
+    os.makedirs(args.out, exist_ok=True)
     _write(_csv_text("reproduce-tables", config,
                      ("k", "theta_lower", "theta_upper",
                       "copeland_upper", "det_lb"), rows1),

@@ -15,9 +15,12 @@ decided on the exact sum of its members' stored differences, whatever the
 distances. Only the differences themselves are rounded, once each, when
 they are formed from the stored distances.
 
-exact_pk_pair enumerates location multisets with multinomial weights once
-per unordered pair and returns both orientations, each bit for bit what its
-own enumeration would give; exact_pk returns the first.
+exact_pk_pairs enumerates location multisets with multinomial weights once
+per atom count for a whole set of pairs, say every pair of a P-matrix: the
+pairs whose atoms number n share one pass over the multisets of range(n),
+with the pair axis last. It returns both orientations of each pair, each
+bit for bit what its own enumeration would give; exact_pk_pair is its
+one-pair call and exact_pk returns that call's first value.
 
 Sampled members, in monte_carlo_pk and in the sampler, are the inverse CDF
 of uniform draws from a Generator's random() stream, the stream that
@@ -40,6 +43,8 @@ from .metric import MetricInstance, candidate_distance, signed_diffs
 ENUMERATION_BUDGET = 2_000_000
 _MC_BLOCK = 1 << 16
 _EXACT_BLOCK = 1 << 12
+# rows x pairs of terms one batched enumeration holds per orientation
+_EXACT_TERMS = 1 << 15
 # the largest group size whose binomials C(k, c) are all finite floats:
 # C(1029, 514) is about 1.43e308, and C(1030, 515) is past the float range
 _MAX_EXACT_K = 1029
@@ -210,7 +215,9 @@ def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
     members is a (groups x k) integer matrix of atom indices; diffs holds
     each atom's signed difference d(i,c1) - d(i,c2) and gvals its transformed
     normalized bias g(|d(i,c1) - d(i,c2)| / d(c1,c2)), which only random
-    choice reads.
+    choice reads. Given (atoms x pairs) diffs and gvals, one column per
+    pair, it returns (groups x pairs), each column bit for bit the 1-D
+    call on that pair's columns.
 
     Averaging decides a group on the sign of the exact sum of its members'
     diffs. The float row sum decides every row whose magnitude exceeds its
@@ -221,9 +228,11 @@ def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
     k = model.k
     if model.variant == "averaging":
         s = _member_sums(diffs, members)
-        near = np.abs(s) <= _SUM_SLACK * k * k * np.abs(diffs).max()
+        near = np.abs(s) <= _SUM_SLACK * k * k * np.abs(diffs).max(axis=0)
         if near.any():
-            s[near] = [math.fsum(row) for row in diffs[members[near]].tolist()]
+            hit = np.nonzero(near)
+            s[hit] = [math.fsum(row) for row in
+                      diffs[(members[hit[0]].T, *hit[1:])].T.tolist()]
         tie = 1.0 if model.tie_to_first else 0.0
         return np.where(s < 0, 1.0, np.where(s > 0, 0.0, tie))
     # in place, with the same operations as
@@ -244,10 +253,10 @@ def group_win_probs(model: ModelConfig, members, diffs, gvals) -> np.ndarray:
     return core
 
 
-def _multiset_rows(n: int, k: int):
+def _multiset_rows(n: int, k: int, block: int):
     """Every sorted k-multiset of range(n) as a row of atom indices, in
     itertools.combinations_with_replacement order, in blocks of at most
-    _EXACT_BLOCK rows. Row r is unranked in the combinatorial number
+    `block` rows. Row r is unranked in the combinatorial number
     system: R = C(n+k-1, k)-1-r is the colex rank of a k-combination
     c_1 < ... < c_k of range(n+k-1); slot i = k, ..., 1 takes the largest
     c_i with C(c_i, i) <= R, then R -= C(c_i, i), and row entry k-i is
@@ -257,8 +266,8 @@ def _multiset_rows(n: int, k: int):
     # take, capped at total, which no rank reaches
     below = np.array([[min(math.comb(i - 1 + d, i), total) for d in range(n)]
                       for i in range(1, k + 1)], dtype=np.int64)
-    for first in range(0, total, _EXACT_BLOCK):
-        rank = total - 1 - np.arange(first, min(first + _EXACT_BLOCK, total))
+    for first in range(0, total, block):
+        rank = total - 1 - np.arange(first, min(first + block, total))
         rows = np.empty((len(rank), k), dtype=np.intp)
         for i in range(k, 0, -1):
             d = np.searchsorted(below[i - 1], rank, side="right") - 1
@@ -267,22 +276,25 @@ def _multiset_rows(n: int, k: int):
         yield rows
 
 
-def exact_pk_pair(
-    inst: MetricInstance, model: ModelConfig, c1: str, c2: str,
+def exact_pk_pairs(
+    inst: MetricInstance, model: ModelConfig, pairs: list[tuple[str, str]],
     budget: int = ENUMERATION_BUDGET,
-) -> tuple[float, float]:
+) -> list[tuple[float, float]]:
     """Exact probabilities that a deliberating group outputs c1 over c2 and
-    c2 over c1, from one enumeration of multisets of bias atoms with
-    multinomial weights.
+    c2 over c1, for each (c1, c2) in pairs, from multisets of bias atoms
+    with multinomial weights: the pairs whose atoms number n share one
+    enumeration, with the pair axis last, unless their terms would pass
+    _EXACT_TERMS.
 
     The (c2, c1) enumeration sees atom n-1-a where this one sees a, with its
     diff negated: each row read backwards against -diffs is one of its rows,
     and the weight factors taken from the last atom down give its weight bit
-    for bit. Each orientation is summed with one correctly rounded
-    math.fsum, so row order does not matter. Raises ValueError when k
-    exceeds _MAX_EXACT_K and EnumerationBudgetExceeded when the member
-    slots, C(n+k-1, k) multisets of k members each, exceed the budget, both
-    before any enumeration.
+    for bit. Each orientation of each pair is summed with one correctly
+    rounded math.fsum, so row order and batching do not matter: every value
+    is bit for bit what a one-pair call gives. Raises ValueError when k
+    exceeds _MAX_EXACT_K and EnumerationBudgetExceeded for the first pair
+    whose member slots, C(n+k-1, k) multisets of k members each, exceed the
+    budget, both before any enumeration.
     """
     k = model.k
     if k > _MAX_EXACT_K:
@@ -290,15 +302,16 @@ def exact_pk_pair(
             f"group size k = {k} is too large for exact enumeration: its "
             f"binomial weights exceed the float range past k = {_MAX_EXACT_K}"
         )
-    diffs, probs, d12 = _atoms(inst, c1, c2)
-    n = len(diffs)
-    multisets = math.comb(n + k - 1, k)
-    if multisets * k > budget:
-        raise EnumerationBudgetExceeded(
-            f"{multisets} multisets of {k} members ({multisets * k} member "
-            f"slots) exceed budget {budget}"
-        )
-    gvals = _atom_gvals(model, diffs, d12)
+    atoms = [_atoms(inst, c1, c2) for c1, c2 in pairs]
+    by_count = {}
+    for i, (diffs, _, _) in enumerate(atoms):
+        multisets = math.comb(len(diffs) + k - 1, k)
+        if multisets * k > budget:
+            raise EnumerationBudgetExceeded(
+                f"{multisets} multisets of {k} members ({multisets * k} "
+                f"member slots) exceed budget {budget}"
+            )
+        by_count.setdefault(len(diffs), []).append(i)
     # weight factor comb(rem, c) * p**c for rem members left, c of them here;
     # Pascal's rule keeps one row of exact ints at a time
     comb = np.zeros((k + 1, k + 1))
@@ -306,29 +319,52 @@ def exact_pk_pair(
     for r in range(k + 1):
         comb[r, :r + 1] = [float(x) for x in row]
         row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-    powers = np.array([[p**c for c in range(k + 1)] for p in probs])
-    fwd, rev = [], []
-    for members in _multiset_rows(n, k):
-        rows = len(members)
-        counts = np.bincount(
-            (members + n * np.arange(rows)[:, None]).ravel(), minlength=rows * n
-        ).reshape(rows, n)
-        for terms, groups, values, atoms in (
-            (fwd, members, diffs, range(n)),
-            (rev, members[:, ::-1], -diffs, range(n - 1, -1, -1)),
-        ):
-            w = np.ones(rows)
-            rem = np.full(rows, k)
-            for atom in atoms:
-                c = counts[:, atom]
-                w *= comb[rem, c] * powers[atom, c]
-                rem -= c
-            terms.append(w * group_win_probs(model, groups, values, gvals))
-    return tuple(
-        min(1.0, max(0.0, math.fsum(itertools.chain.from_iterable(
-            t.tolist() for t in terms))))
-        for terms in (fwd, rev)
-    )
+    out = [None] * len(atoms)
+    for n, group in by_count.items():
+        # a batch holds its terms until the fsum: at most _EXACT_TERMS per
+        # orientation, or one pair's
+        step = max(1, _EXACT_TERMS // math.comb(n + k - 1, k))
+        for batch in (group[s:s + step] for s in range(0, len(group), step)):
+            diffs, probs, d12 = (np.stack(x, axis=-1)
+                                 for x in zip(*(atoms[i] for i in batch)))
+            gvals = _atom_gvals(model, diffs, d12)
+            powers = np.array([[[p**c for p in ps] for c in range(k + 1)]
+                               for ps in probs.tolist()])
+            fwd, rev = [], []
+            block = max(1, _EXACT_BLOCK // len(batch))
+            for members in _multiset_rows(n, k, block):
+                rows = len(members)
+                counts = np.bincount(
+                    (members + n * np.arange(rows)[:, None]).ravel(),
+                    minlength=rows * n,
+                ).reshape(rows, n)
+                for terms, groups, values, order in (
+                    (fwd, members, diffs, range(n)),
+                    (rev, members[:, ::-1], -diffs, range(n - 1, -1, -1)),
+                ):
+                    w = np.ones((rows, len(batch)))
+                    rem = np.full(rows, k)
+                    for atom in order:
+                        c = counts[:, atom]
+                        w *= comb[rem, c][:, None] * powers[atom, c]
+                        rem -= c
+                    terms.append(
+                        w * group_win_probs(model, groups, values, gvals))
+            for col, i in enumerate(batch):
+                out[i] = tuple(
+                    min(1.0, max(0.0, math.fsum(itertools.chain.from_iterable(
+                        t[:, col].tolist() for t in terms))))
+                    for terms in (fwd, rev)
+                )
+    return out
+
+
+def exact_pk_pair(
+    inst: MetricInstance, model: ModelConfig, c1: str, c2: str,
+    budget: int = ENUMERATION_BUDGET,
+) -> tuple[float, float]:
+    """exact_pk_pairs for the one pair (c1, c2)."""
+    return exact_pk_pairs(inst, model, [(c1, c2)], budget)[0]
 
 
 def exact_pk(

@@ -11,6 +11,7 @@ winner beats, and so outscore it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from .metric import MetricInstance, distortion_of
-from .models import ModelConfig, exact_pk_pair, monte_carlo_pk
+from .models import ModelConfig, exact_pk_pairs, monte_carlo_pk
 
 EXACT_DOMINANCE_TOL = 1e-9   # exact p values sit on 1/2 only up to rounding
 MC_DOMINANCE_TOL = 0.0
@@ -73,20 +74,21 @@ def build_pmatrix(
 ) -> PMatrix:
     """Fill the pairwise probability table.
 
-    Exact mode runs one enumeration per unordered pair, which gives both
-    orientations exactly (tie conventions make p[i][j] + p[j][i] exceed 1 by
-    the tie mass). Monte Carlo mode samples one
-    Bernoulli stream per unordered pair, seeded from (seed, i, j), and mirrors
-    p[j][i] = 1 - p[i][j], the way per-pair field estimates are collected.
+    Exact mode runs one enumeration per atom count for all unordered pairs
+    (exact_pk_pairs), which gives both orientations of every pair exactly
+    (tie conventions make p[i][j] + p[j][i] exceed 1 by the tie mass).
+    Monte Carlo mode samples one Bernoulli stream per unordered pair, seeded
+    from (seed, i, j), and mirrors p[j][i] = 1 - p[i][j], the way per-pair
+    field estimates are collected.
     """
     m = inst.m
     P = np.full((m, m), np.nan)
     if mode == "exact":
-        for i in range(m):
-            for j in range(i + 1, m):
-                P[i, j], P[j, i] = exact_pk_pair(
-                    inst, model, inst.candidates[i], inst.candidates[j]
-                )
+        c = inst.candidates
+        pairs = list(itertools.combinations(range(m), 2))
+        probs = exact_pk_pairs(inst, model, [(c[i], c[j]) for i, j in pairs])
+        for (i, j), (p, q) in zip(pairs, probs):
+            P[i, j], P[j, i] = p, q
         return PMatrix(inst.candidates, P, "Exact")
     if isinstance(mode, MonteCarlo):
         for i in range(m):

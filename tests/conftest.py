@@ -31,6 +31,29 @@ def random_euclidean_instance(rng, m, n, dim=2):
     )
 
 
+def line_lattice_instance(m, n, seed):
+    """Locations at 2, 4, ..., 2n and candidates at odd points spread over
+    [1, 2n + 1] of a line. Distance differences are integers, so a pair's
+    locations merge into fewer atoms the farther out they lie, and group
+    sums tie."""
+    pos = {f"c{i}": 1 + 2 * round(i * n / (m - 1)) for i in range(m)}
+    pos |= {f"v{i}": 2 * (i + 1) for i in range(n)}
+    return instance_at(pos, m, n, seed, lambda a, b: abs(a - b))
+
+
+def instance_at(pos, m, n, seed, dist):
+    """Candidates c0..c{m-1} and locations v0..v{n-1} at the points pos
+    names, with distances dist(point, point) and masses drawn from seed."""
+    names = list(pos)
+    w = np.random.default_rng(seed).random(n) + 0.05
+    w /= w.sum()
+    return MetricInstance.build(
+        names[:m], [(f"v{i}", w[i]) for i in range(n)],
+        {(a, b): float(dist(pos[a], pos[b]))
+         for i, a in enumerate(names) for b in names[i + 1:]},
+    )
+
+
 def paper_programs() -> dict:
     """The paper's box programs by a name unique across betas: theta_2 in
     both encodings, both full k = 2 case programs and the three k = 2 part

@@ -458,3 +458,17 @@ def test_reproduce_tables_files_and_thread_invariance(tmp_path):
     else:
         assert float(k3["copeland_upper"]) == copeland_distortion_from_theta(
             float(k3["theta_upper"]))
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "-1", "max_boxes must be non-negative, got -1"),
+    ("--tol", "-1", "tol must be non-negative and finite, got -1.0"),
+])
+def test_reproduce_tables_rejects_a_bad_flag_without_a_directory(
+        tmp_path, capsys, flag, value, message):
+    # the directory was made before any solve checked its flags, so a
+    # usage fault left an empty one behind
+    out = tmp_path / "t"
+    assert main(["reproduce-tables", "--out", str(out), flag, value]) == 1
+    _assert_error(capsys, message)
+    assert not out.exists()

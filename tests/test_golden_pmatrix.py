@@ -11,33 +11,20 @@ change to exact enumeration, rewrite the fixture with
     PYTHONPATH=src python tests/test_golden_pmatrix.py
 """
 
-import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delib.metric import MetricInstance
 from delib.models import BiasTransform, ModelConfig
 from delib.tournament import build_pmatrix
 
-from conftest import random_euclidean_instance
+from conftest import (
+    instance_at, line_lattice_instance, random_euclidean_instance,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_pmatrix.json"
-
-
-def _masses(rng, n):
-    w = rng.random(n) + 0.05
-    return w / w.sum()
-
-
-def line_lattice_instance(m, n, seed):
-    """Locations at 2, 4, ..., 2n and candidates at odd points spread over
-    [1, 2n + 1] of a line; the seed draws the masses."""
-    pos = {f"c{i}": 1 + 2 * round(i * n / (m - 1)) for i in range(m)}
-    pos |= {f"v{i}": 2 * (i + 1) for i in range(n)}
-    return _build(pos, m, n, seed, lambda a, b: abs(a - b))
 
 
 def grid_lattice_instance(m, n, seed):
@@ -47,18 +34,8 @@ def grid_lattice_instance(m, n, seed):
     cells = rng.choice(36, m + n, replace=False)
     names = [f"c{i}" for i in range(m)] + [f"v{i}" for i in range(n)]
     pos = {p: divmod(int(c), 6) for p, c in zip(names, cells)}
-    return _build(pos, m, n, seed,
-                  lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1]))
-
-
-def _build(pos, m, n, seed, dist):
-    names = list(pos)
-    w = _masses(np.random.default_rng(seed), n)
-    return MetricInstance.build(
-        names[:m], [(f"v{i}", w[i]) for i in range(n)],
-        {(a, b): float(dist(pos[a], pos[b]))
-         for a, b in itertools.combinations(names, 2)},
-    )
+    return instance_at(pos, m, n, seed,
+                       lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1]))
 
 
 def _instances():

@@ -17,12 +17,14 @@ from delib.models import (
     ModelConfig,
     exact_pk,
     exact_pk_pair,
+    exact_pk_pairs,
     group_win_probs,
     monte_carlo_pk,
 )
 from delib.instances import line_instance_from_bias_distribution
+from delib.tournament import build_pmatrix
 
-from conftest import random_euclidean_instance
+from conftest import line_lattice_instance, random_euclidean_instance
 
 
 # -- bias transforms ---------------------------------------------------------
@@ -283,7 +285,7 @@ def test_exact_pk_random_choice_matches_manual():
                                   (30, 3), (8, 10), (2, 1029), (1, 1029),
                                   (10000, 1)])
 def test_multiset_rows_are_combinations_with_replacement(n, k):
-    blocks = list(models._multiset_rows(n, k))
+    blocks = list(models._multiset_rows(n, k, models._EXACT_BLOCK))
     want = list(itertools.combinations_with_replacement(range(n), k))
     assert np.concatenate(blocks).tolist() == [list(r) for r in want]
     assert all(len(b) <= models._EXACT_BLOCK for b in blocks)
@@ -314,13 +316,17 @@ def test_exact_k_limit_is_the_last_k_with_finite_binomials():
     assert q == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["averaging", "random-choice"])
-def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
-    def enumerate_rows(n, k):
-        raise AssertionError("enumerated past the budget")
+def _no_enumeration(monkeypatch):
+    def enumerate_rows(n, k, block):
+        raise AssertionError("enumerated past a limit")
         yield
 
     monkeypatch.setattr(models, "_multiset_rows", enumerate_rows)
+
+
+@pytest.mark.parametrize("variant", ["averaging", "random-choice"])
+def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
+    _no_enumeration(monkeypatch)
     inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
     model = ModelConfig(variant, k=4)   # C(9, 4) = 126 multisets
     with pytest.raises(EnumerationBudgetExceeded):
@@ -330,11 +336,7 @@ def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
 
 
 def test_budget_counts_member_slots_not_multisets(monkeypatch):
-    def enumerate_rows(n, k):
-        raise AssertionError("enumerated past the budget")
-        yield
-
-    monkeypatch.setattr(models, "_multiset_rows", enumerate_rows)
+    _no_enumeration(monkeypatch)
     dist = BiasDistribution.from_atoms([(-0.5, 0.25), (0.0, 0.5), (0.5, 0.25)])
     inst = line_instance_from_bias_distribution(dist)
     # C(602, 600) = 180,901 multisets of 600 members: 108,540,600 slots
@@ -350,6 +352,87 @@ def test_budget_admits_exactly_its_slot_count():
         exact_pk(inst, model, "c0", "c1").value
     with pytest.raises(EnumerationBudgetExceeded):
         exact_pk(inst, model, "c0", "c1", budget=503)
+
+
+def test_budget_is_checked_for_every_pair_before_any_enumeration(monkeypatch):
+    inst = line_lattice_instance(5, 9, 2)
+    model = ModelConfig("averaging", k=3)
+    pairs = list(itertools.combinations(inst.candidates, 2))
+    counts = [len(models._atoms(inst, *pair)[0]) for pair in pairs]
+    assert counts == [3, 5, 8, 9, 4, 7, 8, 5, 6, 3]
+    # 5 atoms fit (105 slots); the first pair over is (c0, c2), 8 atoms
+    _no_enumeration(monkeypatch)
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^120 multisets of 3 members \(360 member "
+                             r"slots\) exceed budget 105$"):
+        exact_pk_pairs(inst, model, pairs, budget=105)
+    with pytest.raises(ValueError, match="1030"):
+        exact_pk_pairs(inst, ModelConfig("averaging", k=1030), pairs)
+
+
+def test_batched_blocks_keep_rows_times_pairs_within_a_block(monkeypatch):
+    # m = 12: 66 pairs of 5 atoms share one enumeration of C(9, 5) = 126
+    # multisets, in blocks of _EXACT_BLOCK // 66 = 62 rows
+    inst = random_euclidean_instance(np.random.default_rng(3), 12, 5)
+    model = ModelConfig("averaging", k=5)
+    sizes = []
+
+    def spy(model, members, diffs, gvals):
+        sizes.append((len(members), diffs.shape[1]))
+        return group_win_probs(model, members, diffs, gvals)
+
+    monkeypatch.setattr(models, "group_win_probs", spy)
+    pm = build_pmatrix(inst, model, "exact")
+    assert sorted(set(sizes)) == [(2, 66), (62, 66)]
+    assert all(rows * pairs <= models._EXACT_BLOCK for rows, pairs in sizes)
+    monkeypatch.undo()
+    for i, j in itertools.combinations(range(12), 2):
+        ci, cj = inst.candidates[i], inst.candidates[j]
+        assert (pm.p[i, j], pm.p[j, i]) == exact_pk_pair(inst, model, ci, cj)
+
+
+@pytest.mark.parametrize("model", [
+    ModelConfig("averaging", 4),
+    ModelConfig("averaging", 5, tie_to_first=False),
+    ModelConfig("random-choice", 4, g=SQRT, beta=0.7,
+                all_zero_to_first=False),
+], ids=["avg", "avg-ties-second", "rc"])
+def test_exact_pk_pairs_equals_one_pair_calls(model):
+    # mixed atom counts, both orientations and a repeated pair
+    inst = line_lattice_instance(5, 9, 2)
+    pairs = [("c0", "c1"), ("c3", "c1"), ("c1", "c3"), ("c2", "c4"),
+             ("c0", "c1"), ("c4", "c0")]
+    assert exact_pk_pairs(inst, model, pairs) == \
+        [exact_pk_pair(inst, model, *pair) for pair in pairs]
+    assert exact_pk_pairs(inst, model, []) == []
+
+
+@pytest.mark.parametrize("model", [
+    ModelConfig("averaging", 4),
+    ModelConfig("averaging", 4, tie_to_first=False),
+    ModelConfig("random-choice", 4, g=SQRT, beta=0.7,
+                all_zero_to_first=False),
+], ids=["avg", "avg-ties-second", "rc"])
+def test_kernel_on_pair_columns_equals_one_dimensional_calls(model):
+    # lattice columns with group sums of exactly 0 and a column with the
+    # group 0.7, -2.0999999999999996, 0.7, 0.7, whose exact sum is 2**-52:
+    # math.fsum decides all of these (the near-zero branch)
+    rng = np.random.default_rng(8)
+    diffs = np.column_stack([
+        rng.integers(-3, 4, 5).astype(float),
+        rng.integers(-2, 3, 5).astype(float),
+        [0.7, -2.0999999999999996, 0.7, 0.0, 0.7],
+        rng.standard_normal(5),
+    ])
+    gvals = SQRT.apply(np.abs(diffs) / 4.0)
+    members = np.array(list(itertools.combinations_with_replacement(range(5), 4)))
+    assert (models._member_sums(diffs, members) == 0).any(axis=0)[:3].all()
+    got = group_win_probs(model, members, diffs, gvals)
+    assert got.shape == (len(members), 4)
+    for col in range(4):
+        one = group_win_probs(model, members, diffs[:, col].copy(),
+                              gvals[:, col].copy())
+        assert got[:, col].tobytes() == one.tobytes()
 
 
 # -- inverse-CDF draws -------------------------------------------------------

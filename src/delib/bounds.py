@@ -32,24 +32,44 @@ def _check_theta(theta: float) -> float:
     return float(theta)
 
 
+def _rounded(num: int, den: int, up: bool) -> float:
+    """The rational num/den (den > 0) rounded up to the least float at or
+    above it, or down to the greatest float at or below it."""
+    x = num / den                # int division rounds correctly to nearest
+    p, q = x.as_integer_ratio()
+    if up and p * den < num * q:
+        return math.nextafter(x, math.inf)
+    if not up and p * den > num * q:
+        return math.nextafter(x, -math.inf)
+    return x
+
+
 def copeland_distortion_from_theta(theta: float) -> float:
-    """Distortion guarantee ((1+theta)/(1-theta))^2 of the two-hop argument."""
-    t = _check_theta(theta)
-    r = (1.0 + t) / (1.0 - t)
-    return r * r
+    """Distortion guarantee ((1+theta)/(1-theta))^2 of the two-hop argument,
+    computed exactly from the float theta and rounded up."""
+    a, b = _check_theta(theta).as_integer_ratio()
+    return _rounded((b + a) ** 2, (b - a) ** 2, up=True)
 
 
 def lower_bounds_from_theta(theta: float) -> tuple[float, float]:
     """(deterministic, randomized) floors implied by a mean bias of theta.
 
     min(3, (1+theta)/(1-theta)) for deterministic rules and
-    min(2, 1/(1-theta)) for randomized ones.
+    min(2, 1/(1-theta)) for randomized ones, computed exactly from the
+    float theta and rounded down.
     """
-    t = _check_theta(theta)
+    a, b = _check_theta(theta).as_integer_ratio()
     return (
-        min(3.0, (1.0 + t) / (1.0 - t)),
-        min(2.0, 1.0 / (1.0 - t)),
+        min(3.0, _rounded(b + a, b - a, up=False)),
+        min(2.0, _rounded(b, b - a, up=False)),
     )
+
+
+def copeland_k2_distortion(beta: float) -> float:
+    """The k = 2 chain's distortion guarantee 1 + beta, for a beta at which
+    both case bounds are certified negative, rounded up."""
+    a, b = float(beta).as_integer_ratio()
+    return _rounded(b + a, b, up=True)
 
 
 def theta_upper_bound_closed_form(k: int) -> float:

@@ -31,6 +31,7 @@ from .averaging import (
 )
 from .bounds import (
     copeland_distortion_from_theta,
+    copeland_k2_distortion,
     lower_bounds_from_theta,
     sample_size_averaging,
     sample_size_random_choice,
@@ -263,7 +264,8 @@ def _cmd_solve_copeland_k2(args) -> int:
             "beta": args.beta,
             "beta_threshold": K2_BETA_THRESHOLD,
             "both_negative": certified,
-            "distortion_upper": 1.0 + args.beta if certified else None,
+            "distortion_upper": (copeland_k2_distortion(args.beta)
+                                 if certified else None),
             "cases": [json.loads(case1.to_json()),
                       json.loads(case2.to_json())],
             "parts": {part: json.loads(opt.to_json())
@@ -353,7 +355,8 @@ def _cmd_reproduce_tables(args) -> int:
         beta, threads=args.threads,
         **_given(tol=args.tol, max_boxes=args.budget),
     )
-    k2_upper = 1.0 + beta if (case1.bound < 0 and case2.bound < 0) else math.nan
+    k2_upper = (copeland_k2_distortion(beta)
+                if case1.bound < 0 and case2.bound < 0 else math.nan)
     t3 = solve_theta3(threads=args.threads,
                       **_given(tol=args.tol, budget=args.budget))
     rows1 = [
@@ -469,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc(p)
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET,
                    help="exact mode's enumeration budget in member "
-                        "slots: C(n+k-1, k) multisets of k members each")
+                        "slots: C(n+k-1, k) multisets of k members each "
+                        "for random choice; for averaging, both "
+                        "half-groups' multisets and k per group near a tie")
     p.set_defaults(func=_cmd_pk)
 
     for name, text, func in (

@@ -1,15 +1,17 @@
 """Closed-form bound formulas and sample-size calculators."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from delib.averaging import THETA2
+from delib.averaging import K2_BETA_THRESHOLD, THETA2
 from delib.bounds import (
     HOEFFDING_RATE,
     ThetaOutOfRange,
     copeland_distortion_from_theta,
+    copeland_k2_distortion,
     lower_bounds_from_theta,
     sample_size_averaging,
     sample_size_random_choice,
@@ -44,6 +46,47 @@ def test_bounds_from_theta_are_ordered(theta):
     # the Copeland upper bound never falls below the floors it brackets
     det, rand = lower_bounds_from_theta(theta)
     assert copeland_distortion_from_theta(theta) >= det >= rand >= 1.0
+
+
+def _brackets(x: float, exact: Fraction, up: bool) -> bool:
+    """x is exact rounded up (or down): on the named side of it, and its
+    neighbour toward it lies on the other side."""
+    step = math.nextafter(x, -math.inf if up else math.inf)
+    if up:
+        return Fraction(x) >= exact > Fraction(step)
+    return Fraction(x) <= exact < Fraction(step)
+
+
+def test_derived_bounds_round_outward_at_certified_theta3():
+    # theta_3 <= 513/2048: round to nearest gave 2.783571602881728, 2.97e-16
+    # below (2561/1535)^2, so the reported k = 3 bound was not an upper bound
+    t = 513 / 2048
+    exact = Fraction(2561, 1535) ** 2
+    assert Fraction(2.783571602881728) < exact
+    assert _brackets(copeland_distortion_from_theta(t), exact, up=True)
+    det, rand = lower_bounds_from_theta(t)
+    assert _brackets(det, Fraction(2561, 1535), up=False)
+    assert _brackets(rand, Fraction(2048, 1535), up=False)
+    # the k = 2 chain bound at the beta reproduce-tables certifies
+    beta = K2_BETA_THRESHOLD + 1e-3
+    assert _brackets(copeland_k2_distortion(beta), 1 + Fraction(beta), up=True)
+    assert copeland_k2_distortion(3.0) == 4.0
+
+
+@given(st.floats(0.0, 1.0, exclude_max=True))
+def test_derived_bounds_round_outward(theta):
+    t = Fraction(theta)
+    r = (1 + t) / (1 - t)
+    assert _brackets(copeland_distortion_from_theta(theta), r * r, up=True)
+    det, rand = lower_bounds_from_theta(theta)
+    assert det == 3.0 if r >= 3 else _brackets(det, r, up=False)
+    assert rand == 2.0 if 1 / (1 - t) >= 2 else \
+        _brackets(rand, 1 / (1 - t), up=False)
+
+
+@given(st.floats(0.0, 1e6))
+def test_k2_distortion_rounds_up(beta):
+    assert _brackets(copeland_k2_distortion(beta), 1 + Fraction(beta), up=True)
 
 
 def test_theta_range_is_enforced():

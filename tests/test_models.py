@@ -24,7 +24,9 @@ from delib.models import (
 from delib.instances import line_instance_from_bias_distribution
 from delib.tournament import build_pmatrix
 
-from conftest import line_lattice_instance, random_euclidean_instance
+from conftest import (
+    instance_at, line_lattice_instance, random_euclidean_instance,
+)
 
 
 # -- bias transforms ---------------------------------------------------------
@@ -328,11 +330,14 @@ def _no_enumeration(monkeypatch):
 def test_budget_is_checked_before_any_enumeration(monkeypatch, variant):
     _no_enumeration(monkeypatch)
     inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
-    model = ModelConfig(variant, k=4)   # C(9, 4) = 126 multisets
+    model = ModelConfig(variant, k=4)
+    # random choice enumerates C(9, 4) = 126 multisets of 4 members (504
+    # slots); averaging its two halves, C(7, 2) = 21 multisets of 2 each
+    budget = 83 if variant == "averaging" else 503
     with pytest.raises(EnumerationBudgetExceeded):
-        exact_pk_pair(inst, model, "c0", "c1", budget=125)
+        exact_pk_pair(inst, model, "c0", "c1", budget=budget)
     with pytest.raises(EnumerationBudgetExceeded):
-        exact_pk(inst, model, "c0", "c1", budget=125)
+        exact_pk(inst, model, "c0", "c1", budget=budget)
 
 
 def test_budget_counts_member_slots_not_multisets(monkeypatch):
@@ -342,12 +347,12 @@ def test_budget_counts_member_slots_not_multisets(monkeypatch):
     # C(602, 600) = 180,901 multisets of 600 members: 108,540,600 slots
     assert math.comb(602, 600) <= models.ENUMERATION_BUDGET
     with pytest.raises(EnumerationBudgetExceeded, match="108540600"):
-        exact_pk_pair(inst, ModelConfig("averaging", k=600), "W", "X")
+        exact_pk_pair(inst, ModelConfig("random-choice", k=600), "W", "X")
 
 
 def test_budget_admits_exactly_its_slot_count():
     inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
-    model = ModelConfig("averaging", k=4)   # 126 multisets, 504 slots
+    model = ModelConfig("random-choice", k=4)   # 126 multisets, 504 slots
     assert exact_pk(inst, model, "c0", "c1", budget=504).value == \
         exact_pk(inst, model, "c0", "c1").value
     with pytest.raises(EnumerationBudgetExceeded):
@@ -356,7 +361,7 @@ def test_budget_admits_exactly_its_slot_count():
 
 def test_budget_is_checked_for_every_pair_before_any_enumeration(monkeypatch):
     inst = line_lattice_instance(5, 9, 2)
-    model = ModelConfig("averaging", k=3)
+    model = ModelConfig("random-choice", k=3)
     pairs = list(itertools.combinations(inst.candidates, 2))
     counts = [len(models._atoms(inst, *pair)[0]) for pair in pairs]
     assert counts == [3, 5, 8, 9, 4, 7, 8, 5, 6, 3]
@@ -374,7 +379,7 @@ def test_batched_blocks_keep_rows_times_pairs_within_a_block(monkeypatch):
     # m = 12: 66 pairs of 5 atoms share one enumeration of C(9, 5) = 126
     # multisets, in blocks of _EXACT_BLOCK // 66 = 62 rows
     inst = random_euclidean_instance(np.random.default_rng(3), 12, 5)
-    model = ModelConfig("averaging", k=5)
+    model = ModelConfig("random-choice", k=5)
     sizes = []
 
     def spy(model, members, diffs, gvals):
@@ -414,9 +419,10 @@ def test_exact_pk_pairs_equals_one_pair_calls(model):
                 all_zero_to_first=False),
 ], ids=["avg", "avg-ties-second", "rc"])
 def test_kernel_on_pair_columns_equals_one_dimensional_calls(model):
-    # lattice columns with group sums of exactly 0 and a column with the
-    # group 0.7, -2.0999999999999996, 0.7, 0.7, whose exact sum is 2**-52:
-    # math.fsum decides all of these (the near-zero branch)
+    # lattice columns with group sums of exactly 0, whose float sums are all
+    # exact, and a column with the group 0.7, -2.0999999999999996, 0.7,
+    # 0.7, whose exact sum is 2**-52 and which math.fsum decides (the
+    # near-zero branch)
     rng = np.random.default_rng(8)
     diffs = np.column_stack([
         rng.integers(-3, 4, 5).astype(float),
@@ -553,3 +559,196 @@ def test_monte_carlo_pk_decides_on_exact_sum_of_stored_diffs():
     res = monte_carlo_pk(inst, model, "A", "B", 200_000, seed=1)
     p = 15 / 16
     assert abs(res.value - p) <= 5 * math.sqrt(p * (1 - p) / 200_000)
+
+
+# -- averaging by meet-in-the-middle -----------------------------------------
+
+
+def _decimal_line_instance(m, n, seed):
+    """line_lattice_instance scaled by 0.1: its distance differences are
+    rounded decimals, so group sums near 0 are not exact in floats."""
+    pos = {f"c{i}": 0.1 * (1 + 2 * round(i * n / (m - 1))) for i in range(m)}
+    pos |= {f"v{i}": 0.1 * 2 * (i + 1) for i in range(n)}
+    return instance_at(pos, m, n, seed, lambda a, b: abs(a - b))
+
+
+def _fraction_pk(diffs, probs, k, tie_to_first):
+    """Both orientations' exact win probabilities: the k-fold convolution of
+    the atoms, each diff and mass taken as the rational its float denotes."""
+    step = [(Fraction(d), Fraction(p))
+            for d, p in zip(diffs.tolist(), probs.tolist())]
+    dist = {Fraction(0): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for s, ps in dist.items():
+            for d, pd in step:
+                nxt[s + d] = nxt.get(s + d, 0) + ps * pd
+        dist = nxt
+    tie = dist.get(0, 0) if tie_to_first else 0
+    return (sum(p for s, p in dist.items() if s < 0) + tie,
+            sum(p for s, p in dist.items() if s > 0) + tie)
+
+
+@pytest.mark.parametrize("tie_to_first", [True, False])
+def test_averaging_is_within_its_stated_bound_of_the_exact_value(tie_to_first):
+    # the bound of the exact_pk_pairs docstring, (4k + 4) eps, on planar,
+    # lattice and decimal pairs
+    rng = np.random.default_rng(40 + tie_to_first)
+    eps = np.finfo(float).eps
+    for trial in range(12):
+        k = int(rng.integers(2, 10))
+        n = int(rng.integers(2, 6))
+        inst = [random_euclidean_instance(rng, 3, n),
+                line_lattice_instance(3, n + 3, trial),
+                _decimal_line_instance(3, n, trial)][trial % 3]
+        model = ModelConfig("averaging", k, tie_to_first=tie_to_first)
+        for c1, c2 in itertools.combinations(inst.candidates, 2):
+            diffs, probs, _ = models._atoms(inst, c1, c2)
+            want = _fraction_pk(diffs, probs, k, tie_to_first)
+            bound = (4 * k + 4) * eps
+            for got, exact in zip(exact_pk_pair(inst, model, c1, c2), want):
+                assert abs(Fraction(got) - exact) <= bound
+
+
+def test_near_zero_group_reaches_the_kernel_through_the_window(monkeypatch):
+    inst = _rounded_sum_instance()
+    model = ModelConfig("averaging", k=4, tie_to_first=False)
+    rows = []
+
+    def spy(model, members, diffs, gvals):
+        rows.extend(sorted(r) for r in members.tolist())
+        return group_win_probs(model, members, diffs, gvals)
+
+    monkeypatch.setattr(models, "group_win_probs", spy)
+    assert exact_pk(inst, model, "A", "B").value == 15 / 16
+    # atom 0 is v's diff, atom 1 is u's: the group u, u, u, v, split as
+    # (u, u | u, v) and (u, v | u, u), is decided by the kernel
+    assert rows.count([0, 1, 1, 1]) == 4
+
+
+def test_dyadic_lattice_takes_no_near_zero_branch(monkeypatch):
+    inst = line_lattice_instance(5, 9, 2)
+    kernel = []
+    monkeypatch.setattr(
+        models, "group_win_probs",
+        lambda *args: kernel.append(1) or group_win_probs(*args))
+    for tie_to_first in (True, False):
+        model = ModelConfig("averaging", 6, tie_to_first=tie_to_first)
+        build_pmatrix(inst, model, "exact")
+    # every sum is exact, so the split decides each tie by equal half sums
+    # and sends no group to the kernel
+    assert kernel == []
+    # and the kernel skips math.fsum on groups that sum to exactly 0
+    diffs, _, _ = models._atoms(inst, "c0", "c4")
+    members = np.array(list(itertools.combinations_with_replacement(
+        range(len(diffs)), 4)))
+    assert (models._member_sums(diffs, members) == 0).any()
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum",
+                        lambda values: calls.append(1) or fsum(values))
+    group_win_probs(ModelConfig("averaging", 4), members, diffs, None)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tie_to_first", [True, False])
+def test_averaging_orientations_are_bit_identical(tie_to_first):
+    model = ModelConfig("averaging", 5, tie_to_first=tie_to_first)
+    for inst in (line_lattice_instance(4, 7, 1),
+                 _decimal_line_instance(4, 7, 1),
+                 random_euclidean_instance(np.random.default_rng(9), 4, 7)):
+        pm = build_pmatrix(inst, model, "exact")
+        for (i, ci), (j, cj) in itertools.combinations(
+                enumerate(inst.candidates), 2):
+            p, q = exact_pk_pair(inst, model, ci, cj)
+            assert exact_pk_pair(inst, model, cj, ci) == (q, p)
+            assert (pm.p[i, j], pm.p[j, i]) == (p, q)
+
+
+def test_averaging_reaches_k11_on_16_atoms_at_the_default_budget():
+    inst = random_euclidean_instance(np.random.default_rng(16), 2, 16)
+    # enumeration would fill C(26, 11) = 7,726,160 multisets of 11 members
+    assert math.comb(26, 11) * 11 > models.ENUMERATION_BUDGET
+    model = ModelConfig("averaging", 11)
+    p, q = exact_pk_pair(inst, model, "c0", "c1")
+    assert p + q == pytest.approx(1.0, abs=1e-12)   # no group sums to 0
+    trials = 200_000
+    mc = monte_carlo_pk(inst, model, "c0", "c1", trials, seed=3)
+    assert abs(mc.value - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+
+def test_averaging_budget_counts_both_halves():
+    inst = random_euclidean_instance(np.random.default_rng(2), 2, 6)
+    # k = 4: two halves of C(7, 2) = 21 multisets of 2 members, 84 slots
+    model = ModelConfig("averaging", k=4)
+    assert exact_pk(inst, model, "c0", "c1", budget=84).value == \
+        exact_pk(inst, model, "c0", "c1").value
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^21 and 21 multisets of 2 and 2 members \(84 "
+                             r"member slots\) exceed budget 83$"):
+        exact_pk(inst, model, "c0", "c1", budget=83)
+    # k = 5: C(7, 2) = 21 of 2 members and C(8, 3) = 56 of 3, 210 slots
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^21 and 56 multisets of 2 and 3 members \(210 "
+                             r"member slots\) exceed budget 209$"):
+        exact_pk(inst, ModelConfig("averaging", k=5), "c0", "c1", budget=209)
+
+
+def test_averaging_budget_counts_the_groups_near_a_tie():
+    inst = _rounded_sum_instance()
+    model = ModelConfig("averaging", k=4, tie_to_first=False)
+    # halves of 3 multisets of 2 members (12 slots) and a window of 2
+    # groups of 4 make 20 slots, as many as the C(5, 4) = 5 multisets of 4
+    # that enumeration fills, so 19 refuses both
+    assert exact_pk(inst, model, "A", "B", budget=20).value == 15 / 16
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"^3 and 3 multisets of 2 and 2 members and 2 "
+                             r"groups of 4 near a tie \(20 member slots\) "
+                             r"exceed budget 19$"):
+        exact_pk(inst, model, "A", "B", budget=19)
+
+
+def test_a_window_past_the_budget_falls_back_to_enumeration(monkeypatch):
+    # diffs 1 + 2**-52 (u) and -(1 + 2**-52) (v): a sum of two of them is
+    # not always a float, so (u | v) and (v | u) land in the window: 2 + 2
+    # half slots and 2 groups of 2 make 8 slots, where the 3 multisets of
+    # 2 of the full enumeration make 6
+    far = 1.5 + 2.0**-52
+    inst = MetricInstance.build(
+        ["A", "B"], [("u", 0.5), ("v", 0.5)],
+        {("A", "B"): 2.0, ("A", "u"): far, ("B", "u"): 0.5,
+         ("A", "v"): 0.5, ("B", "v"): far, ("u", "v"): 2.0},
+    )
+    sizes = []
+    rows = models._multiset_rows
+
+    def spy(n, k, block):
+        sizes.append(k)
+        return rows(n, k, block)
+
+    monkeypatch.setattr(models, "_multiset_rows", spy)
+    model = ModelConfig("averaging", k=2)
+    for budget, enumerated in ((8, [1, 1]), (6, [1, 1, 2])):
+        sizes.clear()
+        assert exact_pk_pair(inst, model, "A", "B", budget) == (0.75, 0.75)
+        assert sizes == enumerated
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match=r"2 groups of 2 near a tie \(8 member slots\) "
+                             r"exceed budget 5$"):
+        exact_pk_pair(inst, model, "A", "B", budget=5)
+
+
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_averaging_accepts_every_budget_its_enumeration_fits(k):
+    # a budget of exactly the full enumeration's slots, the least one that
+    # enumeration accepts, on wide windows (decimal), ties (lattice) and
+    # neither (planar)
+    model = ModelConfig("averaging", k)
+    for inst in (_decimal_line_instance(5, 12, 1),
+                 line_lattice_instance(4, 9, 2),
+                 random_euclidean_instance(np.random.default_rng(4), 3, 9)):
+        for c1, c2 in itertools.combinations(inst.candidates, 2):
+            n = len(models._atoms(inst, c1, c2)[0])
+            budget = math.comb(n + k - 1, k) * k
+            assert exact_pk_pair(inst, model, c1, c2, budget=budget) == \
+                exact_pk_pair(inst, model, c1, c2)

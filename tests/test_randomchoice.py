@@ -219,24 +219,25 @@ def test_grid_and_single_alpha_solves_agree(k, alphas, beta, g, tol):
     (3, LINEAR, 1.0, {
         "k": 3, "g": "linear", "beta": 1.0, "zeta": 0.2062994736859412,
         "alpha": 0.7937005255748676, "omega": 9.313225746154785e-10,
-        "distortion_upper": 2.309920005109069, "det_lb": 1.5198420987421914,
+        "distortion_upper": 2.30992000510907, "det_lb": 1.5198420987421914,
         "rand_lb": 1.2599210493710957, "alpha_step": 0.001, "omega_tol": 1e-09,
     }),
     (9, SQRT, 1.0, {
         "k": 9, "g": "sqrt", "beta": 1.0, "zeta": 0.19998798936478146,
         "alpha": 0.6999557881545937, "omega": 0.1429464891552925,
-        "distortion_upper": 2.249887403393994, "det_lb": 1.4999624673284309,
+        "distortion_upper": 2.249887403393995, "det_lb": 1.499962467328431,
         "rand_lb": 1.2499812336642155, "alpha_step": 0.001, "omega_tol": 1e-09,
     }),
     (2, LINEAR, 0.5, {
         "k": 2, "g": "linear", "beta": 0.5, "zeta": 0.3819660108711608,
         "alpha": 0.6180339885532502, "omega": 9.313225746154785e-10,
-        "distortion_upper": 4.999999991126484, "det_lb": 2.236067975515611,
-        "rand_lb": 1.6180339877578056, "alpha_step": 0.001, "omega_tol": 1e-09,
+        "distortion_upper": 4.999999991126485, "det_lb": 2.2360679755156108,
+        "rand_lb": 1.6180339877578054, "alpha_step": 0.001, "omega_tol": 1e-09,
     }),
 ])
 def test_zeta_json_pinned(k, g, beta, want):
-    # the values of the one-level-per-pass bisection, to the last bit
+    # the values of the one-level-per-pass bisection, to the last bit, with
+    # distortion_upper rounded up and det_lb and rand_lb rounded down
     assert zeta(k, g, beta).to_json() == json.dumps(want, indent=2)
 
 
